@@ -56,7 +56,10 @@ def _load_text(source: str) -> str:
     """Inline text, or file contents when prefixed with '@'."""
     if source.startswith("@"):
         with open(source[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{source[1:]} is not UTF-8 text: {exc}") from exc
     return source
 
 
@@ -124,6 +127,9 @@ def _parse_gens(text: str):
 # ---------------------------------------------------------------------------
 # Commands
 
+#: Number of primes n; click rejects n < 1 as a usage error (exit code 4).
+SPECTRUM_SIZE = click.IntRange(min=1)
+
 
 @click.group()
 def cli() -> None:
@@ -131,7 +137,7 @@ def cli() -> None:
 
 
 @cli.command(name="count")
-@click.argument("n", type=int)
+@click.argument("n", type=SPECTRUM_SIZE)
 @click.option("--force", is_flag=True, help="override the enumeration size guard")
 def cmd_count(n: int, force: bool) -> None:
     """Print the number of semistar operations for an n-prime spectrum."""
@@ -139,7 +145,7 @@ def cmd_count(n: int, force: bool) -> None:
 
 
 @cli.command(name="enumerate")
-@click.argument("n", type=int)
+@click.argument("n", type=SPECTRUM_SIZE)
 @click.option("--count-only", is_flag=True)
 @click.option("--out", type=click.Path(writable=True), default=None)
 @click.option("--force", is_flag=True)
@@ -151,8 +157,7 @@ def cmd_enumerate(n: int, count_only: bool, out: Optional[str], force: bool) -> 
     sink = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
         for family in moore.enumerate_moore(n, force=force):
-            record = moore.family_to_record(family)
-            sink.write(json.dumps(record, separators=(",", ":")) + "\n")
+            sink.write(moore.family_record_text(family) + "\n")
     finally:
         if out:
             sink.close()
@@ -163,7 +168,7 @@ SUITES = ("table1", "bounds", "finite-type", "n2-shape", "oracles", "axioms")
 
 @cli.command(name="verify")
 @click.argument("suite", type=click.Choice(SUITES))
-@click.argument("n", type=int, required=False)
+@click.argument("n", type=SPECTRUM_SIZE, required=False)
 @click.option("--max-n", type=int, default=4)
 @click.option("--trials", type=int, default=1000)
 @click.option("--seed", type=int, default=0)
@@ -315,7 +320,7 @@ def star_meet_cmd(family_texts) -> None:
     if len({s.n for s in ss}) != 1:
         raise InputError("families have different ground sets")
     result = stars.star_meet(ss)
-    click.echo(json.dumps(moore.family_to_record(result.family), separators=(",", ":")))
+    click.echo(moore.family_record_text(result.family))
 
 
 @cmd_star.command(name="join")
@@ -325,7 +330,7 @@ def star_join_cmd(family_texts) -> None:
     if len({s.n for s in ss}) != 1:
         raise InputError("families have different ground sets")
     result = stars.star_join(ss)
-    click.echo(json.dumps(moore.family_to_record(result.family), separators=(",", ":")))
+    click.echo(moore.family_record_text(result.family))
 
 
 @cmd_star.command(name="classify")
@@ -342,16 +347,14 @@ def star_v_of(module_text: str) -> None:
     if j is ZERO:
         raise InputError("divisorial closure needs a nonzero module")
     star = stars.v_of(j)
-    click.echo(json.dumps(moore.family_to_record(star.family), separators=(",", ":")))
+    click.echo(moore.family_record_text(star.family))
 
 
 @cmd_star.command(name="d-of")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=SPECTRUM_SIZE, required=True)
 @click.option("--localized-at", "x_text", default="",
               help="comma-separated prime indices of the overring (empty for K)")
 def star_d_of(n: int, x_text: str) -> None:
-    if n < 1:
-        raise InputError("n must be >= 1")
     try:
         x = [int(tok) for tok in x_text.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -359,7 +362,7 @@ def star_d_of(n: int, x_text: str) -> None:
     if any(not 0 <= i < n for i in x):
         raise InputError("index out of range")
     star = stars.d_of_overring(tuple(range(n)), x)
-    click.echo(json.dumps(moore.family_to_record(star.family), separators=(",", ":")))
+    click.echo(moore.family_record_text(star.family))
 
 
 @cli.command(name="adapter")
@@ -385,7 +388,7 @@ def cmd_adapter(primes_text: str, gens_text: str, member_text: Optional[str]) ->
 
 
 @cli.command(name="hasse")
-@click.argument("n", type=int, required=False)
+@click.argument("n", type=SPECTRUM_SIZE, required=False)
 @click.option("--star-file", "star_files", multiple=True)
 @click.option("--format", "fmt", type=click.Choice(["dot", "json"]), default="dot")
 def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
@@ -393,8 +396,6 @@ def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
     if n is None and not star_files:
         raise InputError("give a spectrum size or star files")
     if n is not None:
-        if n < 1:
-            raise InputError("n must be >= 1")
         if n > moore.ENUMERATION_GUARD or moore.KNOWN_COUNTS.get(n, moore.ISO_GUARD + 1) > moore.ISO_GUARD:
             raise GuardError(f"star lattice at n={n} exceeds {moore.ISO_GUARD} elements")
         star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(n)]
@@ -436,8 +437,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GuardError as exc:
         click.echo(f"refused: {exc}", err=True)
         return EXIT_GUARD
-    except (InputError, click.UsageError, extvec.SpectrumError,
-            extvec.ZeroModuleError) as exc:
+    except click.UsageError as exc:
+        click.echo(f"input error: {exc.format_message()}", err=True)
+        return EXIT_INPUT
+    except (InputError, extvec.SpectrumError, extvec.ZeroModuleError,
+            extvec.ExtOverflowError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     except OSError as exc:

@@ -85,6 +85,13 @@ class MooreFamily:
     def __contains__(self, mask: int) -> bool:
         return mask in set(self.members)
 
+    @classmethod
+    def _trusted(cls, n: int, members: Tuple[int, ...]) -> "MooreFamily":
+        """Build without the checks, for members the search already checked."""
+        family = object.__new__(cls)
+        vars(family).update(n=n, members=members)
+        return family
+
 
 def moore_generate(subsets: Iterable[int], n: int) -> MooreFamily:
     """Smallest intersection-closed family containing the input subsets."""
@@ -132,77 +139,53 @@ def family_join(f1: MooreFamily, f2: MooreFamily) -> MooreFamily:
     return moore_generate(set(f1.members) | set(f2.members), f1.n)
 
 
-def _check_enumeration_guard(n: int, force: bool) -> None:
+def _closed_prefixes(n: int, force: bool) -> Iterator[List[int]]:
+    """Proper members of every family, once each, in canonical order.
+
+    Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
+    all p in P gives a child P + [c], whose candidates are P's after c with
+    d & c in P + [c].  So P + [full] is a family, and P, yielded as the live
+    list after its children, sorts after theirs.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_GUARD and not force:
         raise GuardError(
             f"full enumeration at n={n} refused (known count grows past "
             f"{KNOWN_COUNTS[ENUMERATION_GUARD]} already at n={ENUMERATION_GUARD}); "
-            "pass force=True to override"
-        )
-
-
-def _family_search(n: int, emit: Callable[[List[int]], None]) -> None:
-    """Depth-first decision over proper subsets in descending size order.
-
-    Choosing a subset "in" forces every intersection with current members;
-    those intersections are strictly smaller, hence decided later, so a
-    forced subset that would be declined prunes the branch for free.
-    """
-    full = (1 << n) - 1
-    order = sorted(range(full), key=lambda s: (-bin(s).count("1"), -s))
-    forced = [0] * (full + 1)
-    members = [full]
-    depth = len(order)
-
-    def rec(i: int) -> None:
-        if i == depth:
-            emit(members)
-            return
-        s = order[i]
-        if not forced[s]:
-            rec(i + 1)  # leave s out
-        pushed = []
-        for m in members:
-            t = m & s
-            if t != s:
-                forced[t] += 1
-                pushed.append(t)
-        members.append(s)
-        rec(i + 1)
-        members.pop()
-        for t in pushed:
-            forced[t] -= 1
-
-    rec(0)
+            "pass force=True to override")
+    prefix: List[int] = []
+    present = 0  # bit s is set iff subset s is in the prefix
+    proper = list(range((1 << n) - 1))
+    stack = [(proper, enumerate(proper))]
+    while stack:
+        cands, steps = stack[-1]
+        for i, c in steps:
+            prefix.append(c)
+            present |= 1 << c
+            rest = [d for d in cands[i + 1:] if present >> (d & c) & 1]
+            if rest:
+                stack.append((rest, enumerate(rest)))
+                break
+            yield prefix
+            present ^= 1 << prefix.pop()
+        else:
+            stack.pop()
+            yield prefix
+            if prefix:
+                present ^= 1 << prefix.pop()
 
 
 def count_moore(n: int, force: bool = False) -> int:
     """Number of intersection-closed families on an n-element ground set."""
-    _check_enumeration_guard(n, force)
-    count = 0
-
-    def emit(_members: List[int]) -> None:
-        nonlocal count
-        count += 1
-
-    _family_search(n, emit)
-    return count
+    return sum(1 for _ in _closed_prefixes(n, force))
 
 
 def enumerate_moore(n: int, force: bool = False) -> Iterator[MooreFamily]:
     """All families exactly once, ascending in canonical serialization."""
-    _check_enumeration_guard(n, force)
-    collected: List[bytes] = []
-
-    def emit(members: List[int]) -> None:
-        collected.append(bytes(sorted(members)))
-
-    _family_search(n, emit)
-    collected.sort()
-    for encoded in collected:
-        yield MooreFamily(n, tuple(encoded))
+    full = (1 << n) - 1
+    for prefix in _closed_prefixes(n, force):
+        yield MooreFamily._trusted(n, (*prefix, full))
 
 
 def is_principal_upfilter(family: MooreFamily) -> Tuple[bool, Optional[int]]:
@@ -225,6 +208,23 @@ def binom_lower_bound(n: int) -> int:
 
 def family_to_record(family: MooreFamily) -> dict:
     return {"n": family.n, "members": [indices_of(m) for m in family.members]}
+
+
+class _MemberTexts(dict):
+    """Record text of each subset, e.g. 0b101 -> "[0,2]", for every n.  Filled
+    on first use, so a record at large n never costs a 2^n table."""
+
+    def __missing__(self, mask: int) -> str:
+        return self.setdefault(mask, "[" + ",".join(map(str, indices_of(mask))) + "]")
+
+
+_MEMBER_TEXTS = _MemberTexts()
+
+
+def family_record_text(family: MooreFamily) -> str:
+    """``json.dumps(family_to_record(family), separators=(",", ":"))``."""
+    members = ",".join(map(_MEMBER_TEXTS.__getitem__, family.members))
+    return f'{{"n":{family.n},"members":[{members}]}}'
 
 
 def family_from_record(record: dict) -> MooreFamily:

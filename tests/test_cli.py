@@ -1,4 +1,8 @@
+import hashlib
 import json
+import sys
+
+import pytest
 
 from dedstar.cli import main
 from dedstar.moore import is_moore, family_from_record
@@ -20,6 +24,19 @@ class TestCount:
         code, _, err = run(capsys, "count", "6")
         assert code == 2
         assert "refused" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "0"),
+        ("enumerate", "0"),
+        ("enumerate", "0", "--count-only"),
+        ("verify", "finite-type", "0"),
+        ("hasse", "0"),
+        ("star", "d-of", "--n", "0"),
+    ])
+    def test_empty_spectrum_is_malformed_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert "Traceback" not in err
 
 
 class TestEnumerate:
@@ -47,6 +64,23 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "2", "--out", str(path))
         assert code == 0 and out == ""
         assert len(path.read_text().strip().splitlines()) == 7
+
+    def test_n5_stream_digest(self, monkeypatch):
+        """The n = 5 stream, byte for byte, as the seed release wrote it."""
+        digest = hashlib.sha256()
+
+        class HashingStdout:
+            def write(self, text):
+                digest.update(text.encode())
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", HashingStdout())
+        assert main(["enumerate", "5"]) == 0
+        assert digest.hexdigest() == (
+            "413489138a583c941b48ccc75f847b46642a9ec561d5b7fd320324a98130ac98")
 
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "2", "--out",
@@ -133,6 +167,21 @@ class TestStar:
                            "--family", "{n:2,members:[[0],[1],[0,1]]}")
         assert code == 4
 
+    def test_module_entry_overflow(self, capsys):
+        code, _, err = run(
+            capsys, "star", "apply",
+            "--family", "{n:1,members:[[0]]}", "--module", "(99999999999999999999)",
+        )
+        assert code == 4
+        assert "Traceback" not in err
+
+    def test_family_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_bytes(b"\xff{n:1,members:[[0]]}")
+        code, _, err = run(capsys, "star", "classify", "--family", "@" + str(path))
+        assert code == 4
+        assert "UTF-8" in err
+
     def test_spectrum_mismatch(self, capsys):
         code, _, _ = run(
             capsys, "star", "apply",
@@ -198,6 +247,13 @@ class TestHasse:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["nodes"]) == 2 and payload["edges"] == [[1, 0]]
+
+    def test_star_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "s1.json"
+        path.write_bytes(b'{"primes":[2],"family":{"n":1,"members":[[0]]}}\xff')
+        code, _, err = run(capsys, "hasse", "--star-file", str(path))
+        assert code == 4
+        assert "UTF-8" in err
 
     def test_missing_source(self, capsys):
         code, _, _ = run(capsys, "hasse")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from dedstar.moore import (
     family_from_record,
     family_join,
     family_meet,
+    family_record_text,
     family_to_record,
     hasse,
     hasse_dot,
@@ -112,7 +114,7 @@ class TestMeetJoin:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_counts(self, n):
         assert count_moore(n) == KNOWN_COUNTS[n]
 
@@ -139,6 +141,40 @@ class TestEnumeration:
     def test_count_matches_stream_length(self):
         for n in (1, 2, 3):
             assert count_moore(n) == sum(1 for _ in enumerate_moore(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_matches_brute_force(self, n):
+        """Every intersection-closed subset of the proper subsets, plus the
+        full set, sorted: 2^15 candidate subsets at n = 4."""
+        full = (1 << n) - 1
+        proper = range(full)
+        expected = []
+        for choice in range(1 << full):
+            chosen = [s for s in proper if choice >> s & 1]
+            present = set(chosen)
+            if all(a & b in present for a, b in itertools.combinations(chosen, 2)):
+                expected.append(tuple(chosen) + (full,))
+        expected.sort()
+        assert [f.members for f in enumerate_moore(n)] == expected
+
+    def test_stream_families_pass_the_public_checks(self):
+        """The stream skips MooreFamily's validation; the public, validating
+        constructor must accept and reproduce every family it yields."""
+        def check(fam):
+            assert is_moore(fam.members, fam.n)
+            assert fam == MooreFamily(fam.n, fam.members)
+            assert type(fam.members) is tuple
+
+        for n in (1, 2, 3, 4):
+            for fam in enumerate_moore(n):
+                check(fam)
+        sampled = set(random.Random(3).sample(range(KNOWN_COUNTS[5]), 2000))
+        seen = 0
+        for i, fam in enumerate(enumerate_moore(5)):
+            if i in sampled:
+                check(fam)
+                seen += 1
+        assert seen == 2000
 
 
 class TestUpfilter:
@@ -219,6 +255,13 @@ class TestSerialization:
     def test_record_shape(self):
         fam = MooreFamily(2, (0b01, 0b11))
         assert family_to_record(fam) == {"n": 2, "members": [[0], [0, 1]]}
+
+    def test_record_text_is_compact_json(self):
+        families = [f for n in (1, 2, 3) for f in enumerate_moore(n)]
+        families.append(MooreFamily(40, (0, 1 << 39, (1 << 40) - 1)))
+        for fam in families:
+            assert family_record_text(fam) == json.dumps(
+                family_to_record(fam), separators=(",", ":"))
 
     def test_mask_helpers(self):
         assert mask_of([0, 2], 3) == 0b101
