@@ -8,15 +8,14 @@ Verbs: enumerate, count, verify, star, adapter, hasse.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import json
-import random
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import click
 
-from . import extvec, moore, rationals, stars
-from .extvec import POS_INF, ZERO, ValVector
+from . import extvec, moore, rationals, stars, verify
+from .extvec import POS_INF, ZERO
 from .moore import GuardError, MooreFamily
 
 EXIT_OK = 0
@@ -104,26 +103,6 @@ def format_vector(f) -> str:
     return "(" + ",".join(tokens) + ")"
 
 
-def _parse_primes(text: str) -> Tuple[int, ...]:
-    try:
-        ps = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad prime list {text!r}") from exc
-    if not ps or any(p < 2 for p in ps) or len(set(ps)) != len(ps):
-        raise InputError(f"bad prime list {text!r}")
-    return ps
-
-
-def _parse_gens(text: str):
-    try:
-        gens = tuple(rationals.parse_rational(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if any(g == 0 for g in gens):
-        raise InputError("zero generator")
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -169,124 +148,23 @@ SUITES = ("table1", "bounds", "finite-type", "n2-shape", "oracles", "axioms")
 @cli.command(name="verify")
 @click.argument("suite", type=click.Choice(SUITES))
 @click.argument("n", type=SPECTRUM_SIZE, required=False)
-@click.option("--max-n", type=int, default=4)
-@click.option("--trials", type=int, default=1000)
+@click.option("--max-n", type=SPECTRUM_SIZE, default=4)
+@click.option("--trials", type=click.IntRange(min=1), default=1000)
 @click.option("--seed", type=int, default=0)
 def cmd_verify(suite: str, n: Optional[int], max_n: int, trials: int, seed: int) -> None:
     """Run a verification suite; exit 1 on any failed assertion."""
-    checks: List[Tuple[str, bool]] = []
-    if suite == "table1":
-        for k in range(1, max_n + 1):
-            got = moore.count_moore(k)
-            checks.append((f"count({k}) == {moore.KNOWN_COUNTS[k]}",
-                           got == moore.KNOWN_COUNTS[k]))
-    elif suite == "bounds":
-        for k in range(1, max_n + 1):
-            c = moore.count_moore(k)
-            checks.append((f"2^C({k},{k // 2}) <= count({k}) <= 2^2^{k}",
-                           moore.binom_lower_bound(k) <= c <= 2 ** (2 ** k)))
-    elif suite == "finite-type":
-        k = n if n is not None else 3
-        if k > moore.ENUMERATION_GUARD:
-            raise GuardError("finite-type census needs full enumeration")
-        census = sum(
-            1 for fam in moore.enumerate_moore(k)
-            if moore.is_principal_upfilter(fam)[0]
-        )
-        checks.append((f"finite-type census at n={k} equals 2^{k}", census == 2 ** k))
-    elif suite == "n2-shape":
-        checks.append(("star lattice at n=2 matches the cube minus one coatom",
-                       _n2_shape_holds()))
-    elif suite == "oracles":
-        bad = _colon_oracle_mismatches(trials, seed)
-        checks.append((f"colon oracle equals vector colon on {trials} pairs", bad == 0))
-    elif suite == "axioms":
-        bad = _axiom_violations(min(trials, 10000), seed, max_n=min(max_n, 4))
-        checks.append((f"closure/nucleus axioms on {min(trials, 10000)} samples", bad == 0))
-    failed = False
+    checks = {
+        "table1": lambda: verify.table1(max_n),
+        "bounds": lambda: verify.bounds(max_n),
+        "finite-type": lambda: verify.finite_type(3 if n is None else n),
+        "n2-shape": verify.n2_shape,
+        "oracles": lambda: verify.colon_oracle(trials, seed),
+        "axioms": lambda: verify.axioms(trials, seed, max_n),
+    }[suite]()
     for name, ok in checks:
         click.echo(("PASS " if ok else "FAIL ") + name)
-        failed = failed or not ok
-    if failed:
+    if not all(ok for _, ok in checks):
         raise VerifyFailure(suite)
-
-
-def _n2_shape_holds() -> bool:
-    families = list(moore.enumerate_moore(2))
-    star_list = [stars.star_from_moore(f) for f in families]
-    target = [frozenset(s) for s in
-              _powerset_sets({1, 2, 3}) if frozenset(s) != frozenset({1})]
-    return moore.poset_iso(
-        star_list, stars.star_le, target, lambda a, b: a <= b, "iso"
-    )
-
-
-def _powerset_sets(ground):
-    items = sorted(ground)
-    out = []
-    for mask in range(1 << len(items)):
-        out.append({items[i] for i in range(len(items)) if mask >> i & 1})
-    return out
-
-
-def random_frac_spec(rng: random.Random, primes=(2, 3, 5), max_gens: int = 3,
-                     exponent_bound: int = 5) -> rationals.FracIdealSpec:
-    """Random finitely generated module with generators supported on primes."""
-    from fractions import Fraction
-
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        g = Fraction(1)
-        for p in primes:
-            g *= Fraction(p) ** rng.randint(-exponent_bound, exponent_bound)
-        gens.append(g)
-    return rationals.FracIdealSpec(tuple(primes), tuple(gens))
-
-
-def _colon_oracle_mismatches(trials: int, seed: int) -> int:
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(trials):
-        spec_i = random_frac_spec(rng)
-        spec_j = random_frac_spec(rng)
-        via_oracle = rationals.colon_oracle(spec_i, spec_j)
-        via_vectors = extvec.vec_colon(
-            rationals.vector_of_module(spec_i), rationals.vector_of_module(spec_j)
-        )
-        if via_oracle != via_vectors:
-            bad += 1
-    return bad
-
-
-def random_vector(rng: random.Random, primes, lo: int = -10, hi: int = 10,
-                  inf_chance: float = 0.3) -> ValVector:
-    entries = tuple(
-        POS_INF if rng.random() < inf_chance else rng.randint(lo, hi)
-        for _ in primes
-    )
-    return ValVector(tuple(primes), entries)
-
-
-def _axiom_violations(trials: int, seed: int, max_n: int) -> int:
-    rng = random.Random(seed)
-    pools = {k: list(moore.enumerate_moore(k)) for k in range(1, max_n + 1)}
-    bad = 0
-    for _ in range(trials):
-        k = rng.randint(1, max_n)
-        primes = tuple(range(k))
-        star = stars.star_from_moore(rng.choice(pools[k]), primes)
-        f = random_vector(rng, primes)
-        g = random_vector(rng, primes)
-        fa, ga = stars.apply(star, f), stars.apply(star, g)
-        ok = extvec.vec_le(f, fa)
-        ok = ok and stars.apply(star, fa) == fa
-        if extvec.vec_le(f, g):
-            ok = ok and extvec.vec_le(fa, ga)
-        prod = extvec.vec_mul(f, g)
-        ok = ok and stars.apply(star, extvec.vec_mul(fa, ga)) == stars.apply(star, prod)
-        if not ok:
-            bad += 1
-    return bad
 
 
 @cli.group(name="star")
@@ -361,6 +239,7 @@ def star_d_of(n: int, x_text: str) -> None:
         raise InputError(f"bad index list {x_text!r}") from exc
     if any(not 0 <= i < n for i in x):
         raise InputError("index out of range")
+    moore.guard_ground_set(n)
     star = stars.d_of_overring(tuple(range(n)), x)
     click.echo(moore.family_record_text(star.family))
 
@@ -371,9 +250,12 @@ def star_d_of(n: int, x_text: str) -> None:
 @click.option("--member", "member_text", default=None)
 def cmd_adapter(primes_text: str, gens_text: str, member_text: Optional[str]) -> None:
     """Valuation vector of a rational-generated ideal, or a membership test."""
-    primes = _parse_primes(primes_text)
-    gens = _parse_gens(gens_text)
-    spec = rationals.FracIdealSpec(primes, gens)
+    try:
+        primes = tuple(int(tok) for tok in primes_text.split(","))
+        gens = tuple(rationals.parse_rational(tok) for tok in gens_text.split(","))
+        spec = rationals.FracIdealSpec(primes, gens)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     vec = rationals.vector_of_module(spec)
     if member_text is None:
         click.echo(format_vector(vec))

@@ -207,26 +207,12 @@ def inf_support(f: ValVector) -> FrozenSet[int]:
 def preceq(f: ValVector, g: ValVector) -> bool:
     """Domination preorder: identical +inf sets, and f <= g off a finite set.
 
-    The inequality clause asks for at most finitely many violations; on a
-    finite prime list the violation set is always finite, so the check
-    reduces to +inf-support equality.  The general definition is kept so the
-    reduction is a consequence of the code rather than an assumption.
+    The inequality clause allows finitely many violations; on a finite prime
+    list every violation set is finite, so the check reduces to +inf-support
+    equality.
     """
     _same_spectrum(f, g)
-    if inf_support(f) != inf_support(g):
-        return False
-    violations = [
-        i
-        for i, (a, b) in enumerate(zip(f.entries, g.entries))
-        if not (a is POS_INF) and not ext_le(a, b)
-    ]
-    return _is_finite_collection(violations)
-
-
-def _is_finite_collection(items: Sequence[int]) -> bool:
-    # Any materialized collection is finite; placeholder for the "almost
-    # all" clause, which only bites over an infinite prime list.
-    return len(items) < float("inf")
+    return inf_support(f) == inf_support(g)
 
 
 def scale(f: ModuleVector, c: ValVector) -> ModuleVector:
@@ -236,35 +222,3 @@ def scale(f: ModuleVector, c: ValVector) -> ModuleVector:
     if f is ZERO:
         return ZERO
     return vec_mul(f, c)
-
-
-def vector_to_record(f: ModuleVector) -> dict:
-    """Serialize to {primes, entries} with 'inf'/'-inf' strings; ZERO to {zero:true}."""
-    if f is ZERO:
-        return {"zero": True}
-    entries = []
-    for e in f.entries:
-        if e is POS_INF:
-            entries.append("inf")
-        elif e is NEG_INF:  # unreachable for well-formed vectors
-            entries.append("-inf")
-        else:
-            entries.append(e)
-    return {"primes": list(f.primes), "entries": entries}
-
-
-def vector_from_record(record: dict) -> ModuleVector:
-    if record.get("zero"):
-        return ZERO
-    primes = record["primes"]
-    entries = []
-    for e in record["entries"]:
-        if e == "inf":
-            entries.append(POS_INF)
-        elif e == "-inf":
-            entries.append(NEG_INF)
-        elif isinstance(e, int):
-            entries.append(e)
-        else:
-            raise ValueError(f"bad vector entry {e!r}")
-    return make_vector(primes, entries)

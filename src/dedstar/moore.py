@@ -17,10 +17,18 @@ KNOWN_COUNTS = {1: 2, 2: 7, 3: 61, 4: 2480, 5: 1385552}
 
 ENUMERATION_GUARD = 5
 ISO_GUARD = 200
+#: Largest ground set a family record or an overring star may have: far past
+#: what can be enumerated, and every subset encoding fits in 64 bits.
+GROUND_SET_GUARD = 64
 
 
 class GuardError(RuntimeError):
     """A size guard refused the operation; pass the override to proceed."""
+
+
+def guard_ground_set(n: int) -> None:
+    if n > GROUND_SET_GUARD:
+        raise GuardError(f"ground set of {n} elements exceeds {GROUND_SET_GUARD}")
 
 
 def mask_of(indices: Iterable[int], n: int) -> int:
@@ -229,6 +237,7 @@ def family_record_text(family: MooreFamily) -> str:
 
 def family_from_record(record: dict) -> MooreFamily:
     n = record["n"]
+    guard_ground_set(n)
     members = tuple(sorted(mask_of(idx, n) for idx in record["members"]))
     return MooreFamily(n, members)
 

@@ -8,13 +8,23 @@ as an independent oracle for the vector-level operations in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
 from .extvec import ValVector, ext_le, ext_neg
+from .moore import GuardError
 
 Rational = Union[int, Fraction]
+
+#: Largest prime a spec accepts: trial division stays below 2^16 divisions.
+PRIME_GUARD = 2 ** 32
+
+
+def is_prime(p: int) -> bool:
+    """Primality by trial division."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,10 @@ class FracIdealSpec:
     def __post_init__(self) -> None:
         if not self.primes:
             raise ValueError("prime list must be nonempty")
+        if any(p > PRIME_GUARD for p in self.primes):
+            raise GuardError(f"primes above {PRIME_GUARD}")
+        if not all(map(is_prime, self.primes)):
+            raise ValueError(f"not a list of primes: {self.primes}")
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("duplicate primes")
         if not self.gens:

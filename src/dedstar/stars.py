@@ -57,10 +57,6 @@ class Star:
     def n(self) -> int:
         return self.family.n
 
-    @property
-    def min_member(self) -> int:
-        return self.family.min_member
-
 
 def default_primes(n: int) -> Tuple[int, ...]:
     return tuple(range(n))
@@ -70,10 +66,6 @@ def star_from_moore(family: MooreFamily, primes: Optional[Sequence[Hashable]] = 
     if primes is None:
         primes = default_primes(family.n)
     return Star(tuple(primes), family)
-
-
-def moore_of_star(star: Star) -> MooreFamily:
-    return star.family
 
 
 def _require_nonzero(f: ModuleVector) -> ValVector:
@@ -235,20 +227,31 @@ def v_apply_by_colon(j: ValVector, f: ValVector) -> ValVector:
     return outer
 
 
+#: Largest index set d_of_overring takes: its star has 2^|X| members.
+D_OF_GUARD = 16
+
+
 def d_of_overring(primes: Sequence[Hashable], localized_at: Iterable[int]) -> Star:
     """Multiplication by the overring cut out by the given prime indices.
 
     The empty index set gives the whole quotient field, hence the trivial
     extension; the full set gives the base ring, hence the identity star.
+    The family is the up-filter above the complement of the index set X.
     """
     primes = tuple(primes)
     n = len(primes)
+    if n < 1:
+        raise SpectrumError("empty spectrum: the ring would be a field")
     x_mask = mask_of(localized_at, n)
+    if bin(x_mask).count("1") > D_OF_GUARD:
+        raise GuardError(f"overring star on more than {D_OF_GUARD} localized primes")
     base = ((1 << n) - 1) & ~x_mask
-    members = tuple(sorted(
-        m for m in range(1 << n) if m & base == base
-    ))
-    return Star(primes, MooreFamily(n, members))
+    members, s = [base], 0
+    while s != x_mask:  # the subsets of X, ascending
+        s = (s - x_mask) & x_mask
+        members.append(base | s)
+    # An up-filter with the full set is intersection-closed: skip the check.
+    return Star(primes, MooreFamily._trusted(n, tuple(members)))
 
 
 def d_apply_direct(star_base_complement: Iterable[int], f: ValVector) -> ValVector:
@@ -284,9 +287,6 @@ def finite_type_by_truncation(star: Star, samples: Iterable[ValVector], bound: i
         if ValVector(f.primes, sup_entries) != direct:
             return False
     return True
-
-
-LABEL_ORDER = ("identity", "trivial-extension", "finite-type", "divisorially-generated")
 
 
 def classify(star: Star) -> List[str]:

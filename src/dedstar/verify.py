@@ -1,0 +1,124 @@
+"""Checks of the paper's claims, shared by ``dedstar verify`` and the tests.
+
+Each check returns its list of ``(name, ok)`` pairs.  The seeded generators
+the sampled checks draw from live here too, so a seed names the same
+samples wherever it is used.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Callable, List, Tuple
+
+from . import extvec, moore, rationals, stars
+from .extvec import POS_INF, ValVector
+
+Check = Tuple[str, bool]
+
+#: The axiom check samples stars from full enumerations up to this n ...
+AXIOM_MAX_N = 4
+#: ... and draws at most this many samples.
+AXIOM_MAX_TRIALS = 10000
+
+
+def random_vector(rng: random.Random, primes, lo: int = -10, hi: int = 10,
+                  inf_chance: float = 0.3) -> ValVector:
+    """Entries uniform in lo..hi, each +inf with probability inf_chance."""
+    entries = tuple(
+        POS_INF if rng.random() < inf_chance else rng.randint(lo, hi)
+        for _ in primes
+    )
+    return ValVector(tuple(primes), entries)
+
+
+def random_frac_spec(rng: random.Random, primes=(2, 3, 5), max_gens: int = 3,
+                     exponent_bound: int = 5) -> rationals.FracIdealSpec:
+    """Random finitely generated module with generators supported on primes."""
+    gens = []
+    for _ in range(rng.randint(1, max_gens)):
+        g = Fraction(1)
+        for p in primes:
+            g *= Fraction(p) ** rng.randint(-exponent_bound, exponent_bound)
+        gens.append(g)
+    return rationals.FracIdealSpec(tuple(primes), tuple(gens))
+
+
+def table1(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
+    """The family counts for n = 1..max_n against the paper's table."""
+    checks = []
+    for k in range(1, max_n + 1):
+        got = count(k)
+        checks.append((f"count({k}) == {moore.KNOWN_COUNTS[k]}",
+                       got == moore.KNOWN_COUNTS[k]))
+    return checks
+
+
+def bounds(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
+    """2^C(n, floor(n/2)) <= count(n) <= 2^2^n for n = 1..max_n."""
+    checks = []
+    for k in range(1, max_n + 1):
+        c = count(k)
+        checks.append((f"2^C({k},{k // 2}) <= count({k}) <= 2^2^{k}",
+                       moore.binom_lower_bound(k) <= c <= 2 ** (2 ** k)))
+    return checks
+
+
+def finite_type(n: int) -> List[Check]:
+    """Exactly 2^n families are principal up-filters (finite-type stars)."""
+    census = sum(1 for fam in moore.enumerate_moore(n)
+                 if moore.is_principal_upfilter(fam)[0])
+    return [(f"finite-type census at n={n} equals 2^{n}", census == 2 ** n)]
+
+
+def n2_shape() -> List[Check]:
+    """The 7 stars at n = 2 ordered like the cube on {1,2,3} minus {1}."""
+    star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(2)]
+    cube = (frozenset(i + 1 for i in range(3) if mask >> i & 1) for mask in range(8))
+    target = [s for s in cube if s != {1}]
+    ok = moore.poset_iso(star_list, stars.star_le, target, lambda a, b: a <= b, "iso")
+    return [("star lattice at n=2 matches the cube minus one coatom", ok)]
+
+
+def colon_oracle(trials: int, seed: int) -> List[Check]:
+    """The rational colon oracle equals the vector colon on random pairs."""
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(trials):
+        spec_i = random_frac_spec(rng)
+        spec_j = random_frac_spec(rng)
+        via_vectors = extvec.vec_colon(
+            rationals.vector_of_module(spec_i), rationals.vector_of_module(spec_j))
+        if rationals.colon_oracle(spec_i, spec_j) != via_vectors:
+            bad += 1
+    return [(f"colon oracle equals vector colon on {trials} pairs", bad == 0)]
+
+
+def axioms(trials: int, seed: int, max_n: int) -> List[Check]:
+    """Closure, nucleus and residuation laws on random stars and vectors.
+
+    Each sample draws n, a family, vectors f, g, h and a finite scale c, and
+    checks that the star is extensive, idempotent, monotone, compatible with
+    products, commutes with scaling, and that f*g <= h* iff f*g* <= h*.
+    """
+    trials, max_n = min(trials, AXIOM_MAX_TRIALS), min(max_n, AXIOM_MAX_N)
+    rng = random.Random(seed)
+    pools = {k: list(moore.enumerate_moore(k)) for k in range(1, max_n + 1)}
+    bad = 0
+    for _ in range(trials):
+        k = rng.randint(1, max_n)
+        primes = stars.default_primes(k)
+        star = stars.star_from_moore(rng.choice(pools[k]), primes)
+        f, g, h = (random_vector(rng, primes) for _ in range(3))
+        fa, ga, ha = (stars.apply(star, v) for v in (f, g, h))
+        ok = extvec.vec_le(f, fa) and stars.apply(star, fa) == fa
+        if extvec.vec_le(f, g):
+            ok = ok and extvec.vec_le(fa, ga)
+        c = ValVector(primes, tuple(rng.randint(-5, 5) for _ in primes))
+        ok = ok and stars.apply(star, extvec.scale(f, c)) == extvec.scale(fa, c)
+        fg = extvec.vec_mul(f, g)
+        ok = ok and stars.apply(star, extvec.vec_mul(fa, ga)) == stars.apply(star, fg)
+        ok = ok and extvec.vec_le(fg, ha) == extvec.vec_le(extvec.vec_mul(f, ga), ha)
+        if not ok:
+            bad += 1
+    return [(f"closure/nucleus axioms on {trials} samples", bad == 0)]

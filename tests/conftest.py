@@ -1,7 +1,6 @@
 """Shared helpers for the test suite."""
 
 import itertools
-import random
 
 from dedstar.extvec import POS_INF, ValVector, inf_support, vec_colon, vec_inf, ZERO
 from dedstar.moore import mask_of
@@ -64,11 +63,3 @@ def _support_only(vector, closed_set):
 
     masks = {mask_of(inf_support(v), v.n) for v in closed_set}
     return mask_of(inf_support(vector), vector.n) in masks
-
-
-def random_window_vector(rng: random.Random, primes, lo=-10, hi=10, inf_chance=0.3):
-    entries = tuple(
-        POS_INF if rng.random() < inf_chance else rng.randint(lo, hi)
-        for _ in primes
-    )
-    return ValVector(tuple(primes), entries)

@@ -10,23 +10,17 @@ import time
 
 import pytest
 
-from conftest import (
-    random_window_vector,
-    violates_closed_family_conditions,
-    windowed_vectors,
-)
+from conftest import violates_closed_family_conditions, windowed_vectors
 
-from dedstar import extvec, moore, rationals, stars
-from dedstar.extvec import POS_INF, ValVector, inf_support, vec_inf, vec_le, vec_mul
+from dedstar import extvec, moore, stars, verify
+from dedstar.extvec import POS_INF, ValVector, inf_support, vec_inf, vec_le
 from dedstar.moore import (
     GuardError,
-    binom_lower_bound,
     count_moore,
     enumerate_moore,
     is_principal_upfilter,
     mask_of,
     moore_generate,
-    poset_iso,
 )
 from dedstar.stars import (
     apply,
@@ -37,7 +31,6 @@ from dedstar.stars import (
     is_finite_type,
     star_from_moore,
     star_join,
-    star_le,
     star_meet,
 )
 
@@ -63,9 +56,14 @@ def census():
     return counts, timings
 
 
+def passed(checks):
+    return all(ok for _, ok in checks)
+
+
 def test_criterion_1_table_reproduction(census):
     counts, timings = census
-    ok = all(counts[n] == TABLE1[n] for n in range(1, 6))
+    assert moore.KNOWN_COUNTS == TABLE1
+    ok = passed(verify.table1(5, counts.__getitem__))
     ok = ok and all(timings[n] <= 1.0 for n in range(1, 5))
     ok = ok and timings[5] <= 600.0
     guard_refused = False
@@ -82,17 +80,12 @@ def test_criterion_1_table_reproduction(census):
 
 def test_criterion_2_bounds(census):
     counts, _ = census
-    ok = all(
-        binom_lower_bound(n) <= counts[n] <= 2 ** (2 ** n) for n in range(1, 6)
-    )
-    report("criterion 2: 2^C(n,[n/2]) <= count <= 2^2^n for n=1..5", ok)
+    report("criterion 2: 2^C(n,[n/2]) <= count <= 2^2^n for n=1..5",
+           passed(verify.bounds(5, counts.__getitem__)))
 
 
 def test_criterion_3_finite_type_census():
-    ok = True
-    for n in range(1, 5):
-        found = sum(1 for f in enumerate_moore(n) if is_principal_upfilter(f)[0])
-        ok = ok and found == 2 ** n
+    ok = all(passed(verify.finite_type(n)) for n in range(1, 5))
     primes5 = default_primes(5)
     built = [
         d_of_overring(primes5, x)
@@ -118,13 +111,7 @@ def test_criterion_3_finite_type_census():
 
 def test_criterion_4_n2_lattice_shape():
     start = time.monotonic()
-    star_list = [star_from_moore(f) for f in enumerate_moore(2)]
-    target = []
-    for mask in range(8):
-        subset = frozenset(i + 1 for i in range(3) if mask >> i & 1)
-        if subset != frozenset({1}):
-            target.append(subset)
-    ok = poset_iso(star_list, star_le, target, lambda a, b: a <= b, "iso")
+    ok = passed(verify.n2_shape())
     elapsed = time.monotonic() - start
     report(
         "criterion 4: 7-element star lattice is the cube on {1,2,3} minus {1}",
@@ -134,51 +121,16 @@ def test_criterion_4_n2_lattice_shape():
 
 
 def test_criterion_5_colon_oracle_equivalence():
-    from dedstar.cli import random_frac_spec
-
-    rng = random.Random(1000)
-    mismatches = 0
-    for _ in range(1000):
-        spec_i = random_frac_spec(rng)
-        spec_j = random_frac_spec(rng)
-        lhs = rationals.colon_oracle(spec_i, spec_j)
-        rhs = extvec.vec_colon(
-            rationals.vector_of_module(spec_i),
-            rationals.vector_of_module(spec_j),
-        )
-        if lhs != rhs:
-            mismatches += 1
     report(
         "criterion 5: colon oracle equals vector colon on 1000 random pairs",
-        mismatches == 0,
+        passed(verify.colon_oracle(1000, seed=1000)),
     )
 
 
 def test_criterion_6_nucleus_axiom_suite():
-    rng = random.Random(2000)
-    pools = {n: list(enumerate_moore(n)) for n in range(1, 5)}
-    failures = 0
-    for _ in range(10000):
-        n = rng.randint(1, 4)
-        primes = default_primes(n)
-        star = star_from_moore(rng.choice(pools[n]), primes)
-        f = random_window_vector(rng, primes)
-        g = random_window_vector(rng, primes)
-        h = random_window_vector(rng, primes)
-        fa, ga, ha = apply(star, f), apply(star, g), apply(star, h)
-        ok = vec_le(f, fa)
-        ok = ok and apply(star, fa) == fa
-        if vec_le(f, g):
-            ok = ok and vec_le(fa, ga)
-        c = ValVector(primes, tuple(rng.randint(-5, 5) for _ in primes))
-        ok = ok and apply(star, extvec.scale(f, c)) == extvec.scale(fa, c)
-        ok = ok and apply(star, vec_mul(fa, ga)) == apply(star, vec_mul(f, g))
-        ok = ok and (vec_le(vec_mul(f, g), ha) == vec_le(vec_mul(f, ga), ha))
-        if not ok:
-            failures += 1
     report(
         "criterion 6: closure/nucleus/residuation axioms on 10000 samples at n<=4",
-        failures == 0,
+        passed(verify.axioms(10000, seed=2000, max_n=4)),
     )
 
 
@@ -215,7 +167,7 @@ def test_criterion_8_meet_join_laws():
     primes = default_primes(3)
     families = list(enumerate_moore(3))
     star_list = [star_from_moore(f, primes) for f in families]
-    samples = [random_window_vector(rng, primes) for _ in range(20)]
+    samples = [verify.random_vector(rng, primes) for _ in range(20)]
     closed_pool = windowed_vectors(primes, 2)
     for s1, s2 in itertools.product(star_list, repeat=2):
         m = star_meet([s1, s2])

@@ -32,6 +32,10 @@ class TestCount:
         ("verify", "finite-type", "0"),
         ("hasse", "0"),
         ("star", "d-of", "--n", "0"),
+        ("verify", "table1", "--max-n", "0"),
+        ("verify", "axioms", "--max-n", "0"),
+        ("verify", "oracles", "--trials", "-1"),
+        ("verify", "axioms", "--trials", "0"),
     ])
     def test_empty_spectrum_is_malformed_input(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -158,6 +162,22 @@ class TestStar:
         assert code == 0
         assert json.loads(out) == {"n": 2, "members": [[1], [0, 1]]}
 
+    def test_d_of_empty_index_set_at_large_n(self, capsys):
+        code, out, _ = run(capsys, "star", "d-of", "--n", "40")
+        assert code == 0
+        assert json.loads(out) == {"n": 40, "members": [list(range(40))]}
+
+    @pytest.mark.parametrize("argv", [
+        ("star", "d-of", "--n", "40", "--localized-at", ",".join(map(str, range(17)))),
+        ("star", "d-of", "--n", str(2 ** 70)),
+        ("star", "classify", "--family", "{n:%d,members:[[0]]}" % 2 ** 70),
+        ("star", "meet", "--family", "{n:100000000000,members:[[0]]}"),
+    ])
+    def test_size_guards(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "refused" in err and "Traceback" not in err
+
     def test_malformed_family(self, capsys):
         code, _, err = run(capsys, "star", "classify", "--family", "{oops")
         assert code == 4
@@ -208,6 +228,16 @@ class TestAdapter:
     def test_zero_generator(self, capsys):
         code, _, _ = run(capsys, "adapter", "--primes", "2,3", "--gens", "0")
         assert code == 4
+
+    @pytest.mark.parametrize("primes", ["2,4", "1", "2,2", "", "0", "-3"])
+    def test_bad_prime_list(self, capsys, primes):
+        code, out, err = run(capsys, "adapter", "--primes", primes, "--gens", "1/2")
+        assert code == 4 and out == ""
+        assert "Traceback" not in err
+
+    def test_huge_prime_refused(self, capsys):
+        code, _, err = run(capsys, "adapter", "--primes", str(2 ** 61 - 1), "--gens", "1")
+        assert code == 2 and "refused" in err
 
     def test_bad_rational(self, capsys):
         code, _, _ = run(capsys, "adapter", "--primes", "2,3", "--gens", "x")

@@ -25,8 +25,6 @@ from dedstar.extvec import (
     vec_inf,
     vec_le,
     vec_mul,
-    vector_from_record,
-    vector_to_record,
 )
 
 SMALL = [NEG_INF, -2, -1, 0, 1, 2, POS_INF]
@@ -211,15 +209,3 @@ class TestSupportScaleSerial:
 
     def test_iota(self):
         assert iota((2, 3), {0}) == ValVector((2, 3), (POS_INF, 0))
-
-    def test_serialization_roundtrip(self):
-        p = (2, 3)
-        for f in [one(p), top(p), ValVector(p, (-3, POS_INF)), ZERO]:
-            assert vector_from_record(vector_to_record(f)) == f or \
-                (f is ZERO and vector_from_record(vector_to_record(f)) is ZERO)
-        assert vector_to_record(ZERO) == {"zero": True}
-        record = vector_to_record(ValVector(p, (POS_INF, -1)))
-        assert record == {"primes": [2, 3], "entries": ["inf", -1]}
-
-    def test_deserializing_neg_inf_gives_zero(self):
-        assert vector_from_record({"primes": [2], "entries": ["-inf"]}) is ZERO

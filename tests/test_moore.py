@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dedstar.moore import (
+    GROUND_SET_GUARD,
     GuardError,
     KNOWN_COUNTS,
     MooreFamily,
@@ -251,6 +252,13 @@ class TestSerialization:
     def test_roundtrip(self):
         for fam in enumerate_moore(3):
             assert family_from_record(family_to_record(fam)) == fam
+
+    def test_huge_ground_set_refused(self):
+        for n in (GROUND_SET_GUARD + 1, 10 ** 11, 2 ** 70):
+            with pytest.raises(GuardError):
+                family_from_record({"n": n, "members": [[0]]})
+        n = GROUND_SET_GUARD
+        assert family_from_record({"n": n, "members": [list(range(n))]}).n == n
 
     def test_record_shape(self):
         fam = MooreFamily(2, (0b01, 0b11))

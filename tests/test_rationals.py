@@ -4,15 +4,19 @@ from fractions import Fraction
 import pytest
 
 from dedstar.extvec import POS_INF, ValVector, one, vec_colon, vec_mul
+from dedstar.moore import GuardError
 from dedstar.rationals import (
+    PRIME_GUARD,
     FracIdealSpec,
     colon_oracle,
+    is_prime,
     module_member,
     padic_val,
     parse_rational,
     product_spec,
     vector_of_module,
 )
+from dedstar.verify import random_frac_spec
 
 
 class TestPadicVal:
@@ -51,6 +55,21 @@ class TestVectorOfModule:
             FracIdealSpec.of((2, 3), [])
         with pytest.raises(ValueError):
             FracIdealSpec.of((2, 3), [0])
+        for primes in ((2, 4), (1,), (2, 2), (9,), ()):
+            with pytest.raises(ValueError):
+                FracIdealSpec.of(primes, [1])
+        with pytest.raises(GuardError):
+            FracIdealSpec.of((PRIME_GUARD + 15,), [1])
+
+    def test_is_prime_matches_sieve(self):
+        sieve = [True] * 1000
+        sieve[0] = sieve[1] = False
+        for p in range(2, 1000):
+            for q in range(p * p, 1000, p):
+                sieve[q] = False
+        assert [p for p in range(-3, 1000) if is_prime(p)] == \
+            [p for p in range(1000) if sieve[p]]
+        assert is_prime(PRIME_GUARD - 5) and not is_prime(PRIME_GUARD - 1)
 
 
 class TestMembership:
@@ -68,20 +87,10 @@ class TestMembership:
     def test_generators_are_members(self):
         rng = random.Random(7)
         for _ in range(100):
-            spec = _random_spec(rng)
+            spec = random_frac_spec(rng)
             vec = vector_of_module(spec)
             for g in spec.gens:
                 assert module_member(vec, g)
-
-
-def _random_spec(rng, primes=(2, 3, 5)):
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        g = Fraction(1)
-        for p in primes:
-            g *= Fraction(p) ** rng.randint(-5, 5)
-        gens.append(g)
-    return FracIdealSpec(tuple(primes), tuple(gens))
 
 
 class TestColonOracle:
@@ -100,7 +109,7 @@ class TestColonOracle:
     def test_matches_vector_colon(self):
         rng = random.Random(11)
         for _ in range(200):
-            spec_i, spec_j = _random_spec(rng), _random_spec(rng)
+            spec_i, spec_j = random_frac_spec(rng), random_frac_spec(rng)
             assert colon_oracle(spec_i, spec_j) == vec_colon(
                 vector_of_module(spec_i), vector_of_module(spec_j)
             )
@@ -114,7 +123,7 @@ class TestProductLaw:
     def test_sampled(self):
         rng = random.Random(13)
         for _ in range(100):
-            spec_i, spec_j = _random_spec(rng), _random_spec(rng)
+            spec_i, spec_j = random_frac_spec(rng), random_frac_spec(rng)
             assert vector_of_module(product_spec(spec_i, spec_j)) == vec_mul(
                 vector_of_module(spec_i), vector_of_module(spec_j)
             )
