@@ -70,8 +70,8 @@ def parse_family(text: str) -> MooreFamily:
         raise InputError(f"bad family record: {exc}") from exc
 
 
-def parse_vector_inline(text: str, primes: Optional[Sequence] = None):
-    """Parenthesized comma list with tokens integer|inf|-inf."""
+def parse_vector_inline(text: str):
+    """Parenthesized comma list with tokens integer|inf|-inf, over primes 0..k-1."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -89,11 +89,7 @@ def parse_vector_inline(text: str, primes: Optional[Sequence] = None):
                 raise InputError(f"bad vector token {token!r}") from exc
     if not entries:
         raise InputError("empty vector")
-    if primes is None:
-        primes = tuple(range(len(entries)))
-    if len(primes) != len(entries):
-        raise InputError("vector length does not match spectrum")
-    return extvec.make_vector(tuple(primes), entries)
+    return extvec.make_vector(tuple(range(len(entries))), entries)
 
 
 def format_vector(f) -> str:
@@ -117,25 +113,19 @@ def cli() -> None:
 
 @cli.command(name="count")
 @click.argument("n", type=SPECTRUM_SIZE)
-@click.option("--force", is_flag=True, help="override the enumeration size guard")
-def cmd_count(n: int, force: bool) -> None:
+def cmd_count(n: int) -> None:
     """Print the number of semistar operations for an n-prime spectrum."""
-    click.echo(str(moore.count_moore(n, force=force)))
+    click.echo(str(moore.count_moore(n)))
 
 
 @cli.command(name="enumerate")
 @click.argument("n", type=SPECTRUM_SIZE)
-@click.option("--count-only", is_flag=True)
 @click.option("--out", type=click.Path(writable=True), default=None)
-@click.option("--force", is_flag=True)
-def cmd_enumerate(n: int, count_only: bool, out: Optional[str], force: bool) -> None:
+def cmd_enumerate(n: int, out: Optional[str]) -> None:
     """Stream every closed-support family in canonical order."""
-    if count_only:
-        click.echo(str(moore.count_moore(n, force=force)))
-        return
     sink = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
-        for family in moore.enumerate_moore(n, force=force):
+        for family in moore.enumerate_moore(n):
             sink.write(moore.family_record_text(family) + "\n")
     finally:
         if out:
@@ -172,8 +162,8 @@ def cmd_star() -> None:
     """Star algebra: apply, meet, join, classify, v-of, d-of."""
 
 
-def _family_option(required: bool = True):
-    return click.option("--family", "family_texts", multiple=True, required=required,
+def _family_option():
+    return click.option("--family", "family_texts", multiple=True, required=True,
                         help="inline family record or @file; repeatable")
 
 
@@ -191,24 +181,23 @@ def star_apply(family_texts, module_text: str) -> None:
     click.echo(format_vector(stars.apply(star, f)))
 
 
-@cmd_star.command(name="meet")
-@_family_option()
-def star_meet_cmd(family_texts) -> None:
+def _echo_combined(family_texts, combine) -> None:
     ss = [stars.star_from_moore(parse_family(t)) for t in family_texts]
     if len({s.n for s in ss}) != 1:
         raise InputError("families have different ground sets")
-    result = stars.star_meet(ss)
-    click.echo(moore.family_record_text(result.family))
+    click.echo(moore.family_record_text(combine(ss).family))
+
+
+@cmd_star.command(name="meet")
+@_family_option()
+def star_meet_cmd(family_texts) -> None:
+    _echo_combined(family_texts, stars.star_meet)
 
 
 @cmd_star.command(name="join")
 @_family_option()
 def star_join_cmd(family_texts) -> None:
-    ss = [stars.star_from_moore(parse_family(t)) for t in family_texts]
-    if len({s.n for s in ss}) != 1:
-        raise InputError("families have different ground sets")
-    result = stars.star_join(ss)
-    click.echo(moore.family_record_text(result.family))
+    _echo_combined(family_texts, stars.star_join)
 
 
 @cmd_star.command(name="classify")

@@ -23,7 +23,7 @@ GROUND_SET_GUARD = 64
 
 
 class GuardError(RuntimeError):
-    """A size guard refused the operation; pass the override to proceed."""
+    """A size guard refused the operation."""
 
 
 def guard_ground_set(n: int) -> None:
@@ -74,8 +74,10 @@ class MooreFamily:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("ground set must be nonempty (n >= 1)")
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError("members must be strictly ascending")
+        if len(set(self.members)) != len(self.members):
+            raise ValueError("duplicate member")
+        if list(self.members) != sorted(self.members):
+            raise ValueError("members must be ascending")
         if not is_moore(self.members, self.n):
             raise ValueError("family is not intersection-closed with full set")
 
@@ -91,7 +93,7 @@ class MooreFamily:
         return inter
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self.members
 
     @classmethod
     def _trusted(cls, n: int, members: Tuple[int, ...]) -> "MooreFamily":
@@ -101,24 +103,25 @@ class MooreFamily:
         return family
 
 
+def _fold_closed(n: int, closed: Iterable[int], subsets: Iterable[int]) -> MooreFamily:
+    """Smallest family holding the subsets and ``closed``, an
+    intersection-closed set with the full set.  Each s is folded in as
+    closed | {s & m : m in closed}, which stays intersection-closed and holds
+    s as s & full."""
+    members = set(closed)
+    for s in subsets:
+        if s not in members:
+            members |= {s & m for m in members}
+    return MooreFamily(n, tuple(sorted(members)))
+
+
 def moore_generate(subsets: Iterable[int], n: int) -> MooreFamily:
     """Smallest intersection-closed family containing the input subsets."""
     full = (1 << n) - 1
-    members = set(subsets)
-    if any(not 0 <= s <= full for s in members):
+    subsets = set(subsets)
+    if any(not 0 <= s <= full for s in subsets):
         raise ValueError("subset out of range")
-    members.add(full)
-    frontier = list(members)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in members:
-                t = a & b
-                if t not in members and t not in fresh:
-                    fresh.append(t)
-        members.update(fresh)
-        frontier = fresh
-    return MooreFamily(n, tuple(sorted(members)))
+    return _fold_closed(n, (full,), subsets)
 
 
 def closure(family: MooreFamily, mask: int) -> int:
@@ -141,30 +144,34 @@ def family_meet(f1: MooreFamily, f2: MooreFamily) -> MooreFamily:
 
 
 def family_join(f1: MooreFamily, f2: MooreFamily) -> MooreFamily:
-    """Smallest family containing both: saturate the member union."""
+    """Smallest family containing both: fold f2's members into f1's."""
     if f1.n != f2.n:
         raise ValueError("ground sets differ")
-    return moore_generate(set(f1.members) | set(f2.members), f1.n)
+    return _fold_closed(f1.n, f1.members, f2.members)
 
 
-def _closed_prefixes(n: int, force: bool) -> Iterator[List[int]]:
-    """Proper members of every family, once each, in canonical order.
+def _searchable_full_set(n: int) -> int:
+    """The full set of {0..n-1}, once n passes the family search's guard."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > ENUMERATION_GUARD:
+        raise GuardError(
+            f"full enumeration at n={n} refused (known count grows past "
+            f"{KNOWN_COUNTS[ENUMERATION_GUARD]} already at n={ENUMERATION_GUARD})")
+    return (1 << n) - 1
+
+
+def _closed_prefixes(full: int) -> Iterator[List[int]]:
+    """Proper members of every family below ``full``, once each, in canonical order.
 
     Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
     all p in P gives a child P + [c], whose candidates are P's after c with
     d & c in P + [c].  So P + [full] is a family, and P, yielded as the live
     list after its children, sorts after theirs.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > ENUMERATION_GUARD and not force:
-        raise GuardError(
-            f"full enumeration at n={n} refused (known count grows past "
-            f"{KNOWN_COUNTS[ENUMERATION_GUARD]} already at n={ENUMERATION_GUARD}); "
-            "pass force=True to override")
     prefix: List[int] = []
     present = 0  # bit s is set iff subset s is in the prefix
-    proper = list(range((1 << n) - 1))
+    proper = list(range(full))
     stack = [(proper, enumerate(proper))]
     while stack:
         cands, steps = stack[-1]
@@ -184,15 +191,15 @@ def _closed_prefixes(n: int, force: bool) -> Iterator[List[int]]:
                 present ^= 1 << prefix.pop()
 
 
-def count_moore(n: int, force: bool = False) -> int:
+def count_moore(n: int) -> int:
     """Number of intersection-closed families on an n-element ground set."""
-    return sum(1 for _ in _closed_prefixes(n, force))
+    return sum(1 for _ in _closed_prefixes(_searchable_full_set(n)))
 
 
-def enumerate_moore(n: int, force: bool = False) -> Iterator[MooreFamily]:
+def enumerate_moore(n: int) -> Iterator[MooreFamily]:
     """All families exactly once, ascending in canonical serialization."""
-    full = (1 << n) - 1
-    for prefix in _closed_prefixes(n, force):
+    full = _searchable_full_set(n)
+    for prefix in _closed_prefixes(full):
         yield MooreFamily._trusted(n, (*prefix, full))
 
 
@@ -272,15 +279,13 @@ def poset_iso(
     leq1: Callable,
     elements2: Sequence,
     leq2: Callable,
-    orientation: str = "iso",
 ) -> bool:
-    """Brute-force search for an order (anti-)isomorphism.
+    """Brute-force search for an order isomorphism.
 
-    Candidates are pruned by up-set/down-set size profiles before the
-    backtracking bijection search.
+    For an anti-isomorphism, pass the reversed order as leq2.  Candidates are
+    pruned by up-set/down-set size profiles before the backtracking bijection
+    search.
     """
-    if orientation not in ("iso", "anti"):
-        raise ValueError("orientation must be 'iso' or 'anti'")
     k = len(elements1)
     if k != len(elements2):
         return False
@@ -289,8 +294,6 @@ def poset_iso(
 
     m1 = _leq_matrix(elements1, leq1)
     m2 = _leq_matrix(elements2, leq2)
-    if orientation == "anti":
-        m2 = [[m2[j][i] for j in range(k)] for i in range(k)]
 
     def profile(m: List[List[bool]], i: int) -> Tuple[int, int]:
         return (sum(m[i]), sum(row[i] for row in m))

@@ -8,9 +8,10 @@ family-closure of its +inf support.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .extvec import (
     POS_INF,
@@ -108,28 +109,23 @@ def star_le(s1: Star, s2: Star) -> bool:
     return set(s2.family.members) <= set(s1.family.members)
 
 
+def _combine(stars: Sequence[Star], family_op: Callable, what: str) -> Star:
+    """Reduce the stars' families with family_op over one shared spectrum."""
+    if not stars:
+        raise ValueError(f"{what} of no stars is undefined")
+    if any(s.primes != stars[0].primes for s in stars):
+        raise SpectrumError("spectra differ")
+    return Star(stars[0].primes, functools.reduce(family_op, (s.family for s in stars)))
+
+
 def star_meet(stars: Sequence[Star]) -> Star:
     """Pointwise-intersection star: join of the support families."""
-    if not stars:
-        raise ValueError("meet of no stars is undefined")
-    result = stars[0].family
-    for s in stars[1:]:
-        if s.primes != stars[0].primes:
-            raise SpectrumError("spectra differ")
-        result = family_join(result, s.family)
-    return Star(stars[0].primes, result)
+    return _combine(stars, family_join, "meet")
 
 
 def star_join(stars: Sequence[Star]) -> Star:
     """Least star above all inputs: meet of the support families."""
-    if not stars:
-        raise ValueError("join of no stars is undefined")
-    result = stars[0].family
-    for s in stars[1:]:
-        if s.primes != stars[0].primes:
-            raise SpectrumError("spectra differ")
-        result = family_meet(result, s.family)
-    return Star(stars[0].primes, result)
+    return _combine(stars, family_meet, "join")
 
 
 def identity_star(primes: Sequence[Hashable]) -> Star:
@@ -202,7 +198,7 @@ def dagger_bounded_oracle(
     return result
 
 
-def v_of(j: ModuleVector, primes: Optional[Sequence[Hashable]] = None) -> Star:
+def v_of(j: ModuleVector) -> Star:
     """Divisorial closure with respect to the module with vector j.
 
     When the inner colon is the zero module the outer colon is taken to be
@@ -210,10 +206,8 @@ def v_of(j: ModuleVector, primes: Optional[Sequence[Hashable]] = None) -> Star:
     the family generated by j's +inf support.
     """
     j = _require_nonzero(j)
-    if primes is None:
-        primes = j.primes
     family = moore_generate({_support_mask(j)}, j.n)
-    return Star(tuple(primes), family)
+    return Star(j.primes, family)
 
 
 def v_apply_by_colon(j: ValVector, f: ValVector) -> ValVector:

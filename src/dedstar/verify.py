@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import extvec, moore, rationals, stars
 from .extvec import POS_INF, ValVector
@@ -18,7 +18,7 @@ Check = Tuple[str, bool]
 
 #: The axiom check samples stars from full enumerations up to this n ...
 AXIOM_MAX_N = 4
-#: ... and draws at most this many samples.
+#: ... and draws at most this many samples; it refuses larger requests.
 AXIOM_MAX_TRIALS = 10000
 
 
@@ -44,11 +44,18 @@ def random_frac_spec(rng: random.Random, primes=(2, 3, 5), max_gens: int = 3,
     return rationals.FracIdealSpec(tuple(primes), tuple(gens))
 
 
+def _largest_first(max_n: int, count: Callable[[int], int]) -> Dict[int, int]:
+    """count(k) for k = 1..max_n, largest first, so that a size guard refuses
+    max_n before the smaller counts are spent."""
+    return {k: count(k) for k in range(max_n, 0, -1)}
+
+
 def table1(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
     """The family counts for n = 1..max_n against the paper's table."""
+    counts = _largest_first(max_n, count)
     checks = []
     for k in range(1, max_n + 1):
-        got = count(k)
+        got = counts[k]
         checks.append((f"count({k}) == {moore.KNOWN_COUNTS[k]}",
                        got == moore.KNOWN_COUNTS[k]))
     return checks
@@ -56,9 +63,10 @@ def table1(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[
 
 def bounds(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
     """2^C(n, floor(n/2)) <= count(n) <= 2^2^n for n = 1..max_n."""
+    counts = _largest_first(max_n, count)
     checks = []
     for k in range(1, max_n + 1):
-        c = count(k)
+        c = counts[k]
         checks.append((f"2^C({k},{k // 2}) <= count({k}) <= 2^2^{k}",
                        moore.binom_lower_bound(k) <= c <= 2 ** (2 ** k)))
     return checks
@@ -76,7 +84,7 @@ def n2_shape() -> List[Check]:
     star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(2)]
     cube = (frozenset(i + 1 for i in range(3) if mask >> i & 1) for mask in range(8))
     target = [s for s in cube if s != {1}]
-    ok = moore.poset_iso(star_list, stars.star_le, target, lambda a, b: a <= b, "iso")
+    ok = moore.poset_iso(star_list, stars.star_le, target, lambda a, b: a <= b)
     return [("star lattice at n=2 matches the cube minus one coatom", ok)]
 
 
@@ -101,7 +109,10 @@ def axioms(trials: int, seed: int, max_n: int) -> List[Check]:
     checks that the star is extensive, idempotent, monotone, compatible with
     products, commutes with scaling, and that f*g <= h* iff f*g* <= h*.
     """
-    trials, max_n = min(trials, AXIOM_MAX_TRIALS), min(max_n, AXIOM_MAX_N)
+    if max_n > AXIOM_MAX_N or trials > AXIOM_MAX_TRIALS:
+        raise moore.GuardError(
+            f"axiom check needs max_n <= {AXIOM_MAX_N} and trials <= "
+            f"{AXIOM_MAX_TRIALS}; got max_n={max_n}, trials={trials}")
     rng = random.Random(seed)
     pools = {k: list(moore.enumerate_moore(k)) for k in range(1, max_n + 1)}
     bad = 0

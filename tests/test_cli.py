@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dedstar.cli import main
+from dedstar.cli import SUITES, main
 from dedstar.moore import is_moore, family_from_record
 
 
@@ -20,10 +23,15 @@ class TestCount:
             code, out, _ = run(capsys, "count", str(n))
             assert code == 0 and out.strip() == expected
 
-    def test_guard_refusal(self, capsys):
-        code, _, err = run(capsys, "count", "6")
-        assert code == 2
-        assert "refused" in err
+    @pytest.mark.parametrize("argv", [
+        ("count", "6"),
+        ("verify", "finite-type", "6"),
+        ("enumerate", str(10 ** 20)),
+    ])
+    def test_guard_refusal(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "refused" in err and "force" not in err
 
     @pytest.mark.parametrize("argv", [
         ("count", "0"),
@@ -36,6 +44,8 @@ class TestCount:
         ("verify", "axioms", "--max-n", "0"),
         ("verify", "oracles", "--trials", "-1"),
         ("verify", "axioms", "--trials", "0"),
+        ("count", "6", "--force"),              # removed flags are unknown options
+        ("enumerate", "3", "--count-only"),
     ])
     def test_empty_spectrum_is_malformed_input(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -58,10 +68,6 @@ class TestEnumerate:
         _, first, _ = run(capsys, "enumerate", "3")
         _, second, _ = run(capsys, "enumerate", "3")
         assert first == second
-
-    def test_count_only(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "3", "--count-only")
-        assert code == 0 and out.strip() == "61"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "families.jsonl"
@@ -117,6 +123,12 @@ class TestVerify:
     def test_axioms(self, capsys):
         code, out, _ = run(capsys, "verify", "axioms", "--trials", "200")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("flags", [("--max-n", "5"), ("--trials", "10001")])
+    def test_axioms_limits_refused(self, capsys, flags):
+        code, out, err = run(capsys, "verify", "axioms", *flags)
+        assert code == 2 and out == ""
+        assert "refused" in err
 
 
 class TestStar:
@@ -181,6 +193,12 @@ class TestStar:
     def test_malformed_family(self, capsys):
         code, _, err = run(capsys, "star", "classify", "--family", "{oops")
         assert code == 4
+
+    def test_duplicate_member_rejected(self, capsys):
+        code, out, err = run(capsys, "star", "classify",
+                             "--family", "{n:1,members:[[0],[0]]}")
+        assert code == 4 and out == ""
+        assert "duplicate member" in err
 
     def test_non_moore_family_rejected(self, capsys):
         code, _, err = run(capsys, "star", "classify",
@@ -288,3 +306,69 @@ class TestHasse:
     def test_missing_source(self, capsys):
         code, _, _ = run(capsys, "hasse")
         assert code == 4
+
+
+# Each command with its own options.  Spectrum sizes are small or refused by a
+# guard, and --trials stays small, so that every drawn command line runs
+# quickly.  --out is left out, because it writes a file.
+SIZES = ["0", "1", "2", "3", "6", "-1", "x", str(10 ** 20)]
+COMMANDS = {
+    ("count",): [],
+    ("enumerate",): [],
+    ("hasse",): ["--star-file", "--format"],
+    ("adapter",): ["--primes", "--gens", "--member"],
+    **{("verify", suite): ["--max-n", "--trials", "--seed"] for suite in SUITES},
+    ("star", "apply"): ["--family", "--module"],
+    ("star", "meet"): ["--family"],
+    ("star", "join"): ["--family"],
+    ("star", "classify"): ["--family"],
+    ("star", "v-of"): ["--module"],
+    ("star", "d-of"): ["--n", "--localized-at"],
+    ("star", "nope"): [],
+    ("nope",): [],
+}
+REMOVED_FLAGS = ["--force", "--count-only"]
+OPTION_VALUES = {
+    "--max-n": SIZES,
+    "--n": SIZES,
+    "--trials": ["-1", "0", "3", "x"],
+    "--seed": ["0", "-7", "x"],
+    "--family": ["{n:2,members:[[0],[0,1]]}", "{n:2,members:[[1],[0,1]]}",
+                 "{n:1,members:[[0],[0]]}", "{n:2,members:[[0],[1],[0,1]]}",
+                 "{oops", "[1]", '{n:"x",members:[]}', "{n:2,members:[[0.5]]}",
+                 "{n:3,members:[[0,1,2]]}", "@no-such-dir/f"],
+    "--module": ["(0,0)", "(inf,0)", "(inf,-inf)", "()", "(99999999999999999999)",
+                 "(x)"],
+    "--localized-at": ["0", "0,1", "5", "-1", "a"],
+    "--primes": ["2,3", "2,4", "", "1"],
+    "--gens": ["1/2", "6", "0", "1/0", "x"],
+    "--member": ["1/6", "0", "x"],
+    "--format": ["dot", "json", "svg"],
+    "--star-file": ["no-such-dir/s.json"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    if command[0] in ("count", "enumerate", "hasse", "verify") or draw(st.booleans()):
+        argv.append(draw(st.sampled_from(SIZES)))
+    for option in draw(st.lists(st.sampled_from(COMMANDS[command] or ["--bogus"]),
+                                max_size=4)):
+        argv.append(option)
+        if option in OPTION_VALUES:
+            argv.append(draw(st.sampled_from(OPTION_VALUES[option])))
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from(REMOVED_FLAGS + ["--bogus"])))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -63,6 +63,8 @@ class TestGenerate:
 class TestClosure:
     def test_examples(self):
         fam = MooreFamily(2, (0b01, 0b11))
+        assert 0b01 in fam and 0b11 in fam and 0b10 not in fam
+        assert -1 not in fam and 0b100 not in fam  # out of range: not a member
         assert closure(fam, 0b00) == 0b01
         assert closure(fam, 0b10) == 0b11
         full = powerset_family(2)
@@ -221,8 +223,8 @@ class TestPosets:
 
     def test_anti_orientation(self):
         chain = [0, 1, 2]
-        assert poset_iso(chain, lambda a, b: a <= b,
-                         chain, lambda a, b: b <= a, "anti")
+        # an anti-isomorphism is an isomorphism onto the reversed order
+        assert poset_iso(chain, lambda a, b: a <= b, chain, lambda a, b: b <= a)
 
     def test_moore_families_match_cube_minus_coatom(self):
         fams = list(enumerate_moore(2))
@@ -236,10 +238,6 @@ class TestPosets:
         big = list(range(201))
         with pytest.raises(GuardError):
             poset_iso(big, lambda a, b: a <= b, big, lambda a, b: a <= b)
-
-    def test_bad_orientation(self):
-        with pytest.raises(ValueError):
-            poset_iso([0], lambda a, b: True, [0], lambda a, b: True, "sideways")
 
 
 def _subsets(ground):
