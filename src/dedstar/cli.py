@@ -123,6 +123,7 @@ def cmd_count(n: int) -> None:
 @click.option("--out", type=click.Path(writable=True), default=None)
 def cmd_enumerate(n: int, out: Optional[str]) -> None:
     """Stream every closed-support family in canonical order."""
+    moore._searchable_full_set(n)  # refuse before --out is truncated
     sink = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
         for family in moore.enumerate_moore(n):

@@ -156,13 +156,15 @@ def _searchable_full_set(n: int) -> int:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_GUARD:
         raise GuardError(
-            f"full enumeration at n={n} refused (known count grows past "
-            f"{KNOWN_COUNTS[ENUMERATION_GUARD]} already at n={ENUMERATION_GUARD})")
+            f"full enumeration at n={n} exceeds the n <= {ENUMERATION_GUARD} guard "
+            f"(the count is already {KNOWN_COUNTS[ENUMERATION_GUARD]} at "
+            f"n={ENUMERATION_GUARD})")
     return (1 << n) - 1
 
 
 def _closed_prefixes(full: int) -> Iterator[List[int]]:
-    """Proper members of every family below ``full``, once each, in canonical order.
+    """Proper members of every family below ``full``, once each, in canonical
+    order; the search behind ``enumerate_moore``.
 
     Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
     all p in P gives a child P + [c], whose candidates are P's after c with
@@ -191,9 +193,39 @@ def _closed_prefixes(full: int) -> Iterator[List[int]]:
                 present ^= 1 << prefix.pop()
 
 
+def _completions(memo: Dict[int, int], width: int, present: int, cands: List[int]) -> int:
+    """Families at and below a state of ``_closed_prefixes``' search: a
+    prefix (bit s of ``present`` set iff s is in it) and its ascending
+    candidates ``cands``.
+
+    Below the state, the search only asks whether d & c is present for
+    candidates c < d.  The answer is fixed by the candidates added on the way
+    and, for the rest, by the prefix members that are meets of two
+    candidates.  So ``memo`` is keyed on the candidates and those members,
+    each a bitmask over the ``width`` subsets.  A module-level function, not a
+    closure: a recursive closure is a reference cycle that keeps ``memo``
+    alive until the cycle collector runs.
+    """
+    meets = 0
+    for i, d in enumerate(cands):
+        for e in cands[i + 1:]:
+            meets |= 1 << (d & e)
+    key = sum(1 << c for c in cands) << width | (meets & present)
+    total = memo.get(key)
+    if total is None:
+        total = 1
+        for i, c in enumerate(cands):
+            grown = present | 1 << c
+            rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
+            total += _completions(memo, width, grown, rest) if rest else 1
+        memo[key] = total
+    return total
+
+
 def count_moore(n: int) -> int:
     """Number of intersection-closed families on an n-element ground set."""
-    return sum(1 for _ in _closed_prefixes(_searchable_full_set(n)))
+    full = _searchable_full_set(n)
+    return _completions({}, full + 1, 0, list(range(full)))
 
 
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:
@@ -290,7 +322,7 @@ def poset_iso(
     if k != len(elements2):
         return False
     if k > ISO_GUARD:
-        raise GuardError(f"isomorphism search refused above {ISO_GUARD} elements")
+        raise GuardError(f"isomorphism search on {k} elements exceeds {ISO_GUARD}")
 
     m1 = _leq_matrix(elements1, leq1)
     m2 = _leq_matrix(elements2, leq2)

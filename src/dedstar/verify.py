@@ -16,10 +16,10 @@ from .extvec import POS_INF, ValVector
 
 Check = Tuple[str, bool]
 
-#: The axiom check samples stars from full enumerations up to this n ...
+#: The axiom check samples stars from full enumerations up to this n.
 AXIOM_MAX_N = 4
-#: ... and draws at most this many samples; it refuses larger requests.
-AXIOM_MAX_TRIALS = 10000
+#: The sampled checks draw at most this many samples; they refuse more.
+MAX_TRIALS = 10000
 
 
 def random_vector(rng: random.Random, primes, lo: int = -10, hi: int = 10,
@@ -90,6 +90,9 @@ def n2_shape() -> List[Check]:
 
 def colon_oracle(trials: int, seed: int) -> List[Check]:
     """The rational colon oracle equals the vector colon on random pairs."""
+    if trials > MAX_TRIALS:
+        raise moore.GuardError(
+            f"colon oracle check needs trials <= {MAX_TRIALS}; got trials={trials}")
     rng = random.Random(seed)
     bad = 0
     for _ in range(trials):
@@ -109,10 +112,10 @@ def axioms(trials: int, seed: int, max_n: int) -> List[Check]:
     checks that the star is extensive, idempotent, monotone, compatible with
     products, commutes with scaling, and that f*g <= h* iff f*g* <= h*.
     """
-    if max_n > AXIOM_MAX_N or trials > AXIOM_MAX_TRIALS:
+    if max_n > AXIOM_MAX_N or trials > MAX_TRIALS:
         raise moore.GuardError(
             f"axiom check needs max_n <= {AXIOM_MAX_N} and trials <= "
-            f"{AXIOM_MAX_TRIALS}; got max_n={max_n}, trials={trials}")
+            f"{MAX_TRIALS}; got max_n={max_n}, trials={trials}")
     rng = random.Random(seed)
     pools = {k: list(moore.enumerate_moore(k)) for k in range(1, max_n + 1)}
     bad = 0

@@ -31,7 +31,7 @@ class TestCount:
     def test_guard_refusal(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert "refused" in err and "force" not in err
+        assert err.count("refused") == 1 and "force" not in err
 
     @pytest.mark.parametrize("argv", [
         ("count", "0"),
@@ -92,6 +92,13 @@ class TestEnumerate:
         assert digest.hexdigest() == (
             "413489138a583c941b48ccc75f847b46642a9ec561d5b7fd320324a98130ac98")
 
+    def test_refusal_keeps_out_file(self, capsys, tmp_path):
+        path = tmp_path / "families.jsonl"
+        path.write_bytes(b"kept\n")
+        code, out, _ = run(capsys, "enumerate", "6", "--out", str(path))
+        assert code == 2 and out == ""
+        assert path.read_bytes() == b"kept\n"
+
     def test_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "2", "--out",
                            str(tmp_path / "nope" / "x.jsonl"))
@@ -127,6 +134,11 @@ class TestVerify:
     @pytest.mark.parametrize("flags", [("--max-n", "5"), ("--trials", "10001")])
     def test_axioms_limits_refused(self, capsys, flags):
         code, out, err = run(capsys, "verify", "axioms", *flags)
+        assert code == 2 and out == ""
+        assert "refused" in err
+
+    def test_oracles_trials_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "oracles", "--trials", str(10 ** 20))
         assert code == 2 and out == ""
         assert "refused" in err
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -142,8 +143,18 @@ class TestEnumeration:
             count_moore(0)
 
     def test_count_matches_stream_length(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             assert count_moore(n) == sum(1 for _ in enumerate_moore(n))
+
+    def test_count_leaves_no_garbage_cycle(self):
+        """A cycle would keep the counter's memo alive until a collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            count_moore(4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_matches_brute_force(self, n):
