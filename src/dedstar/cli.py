@@ -126,8 +126,8 @@ def cmd_enumerate(n: int, out: Optional[str]) -> None:
     moore._searchable_full_set(n)  # refuse before --out is truncated
     sink = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
-        for family in moore.enumerate_moore(n):
-            sink.write(moore.family_record_text(family) + "\n")
+        for line in moore.enumerate_record_texts(n):
+            sink.write(line)  # not hoisted: a sink may rebind its write
     finally:
         if out:
             sink.close()

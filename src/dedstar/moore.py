@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar)
+
+_T = TypeVar("_T")
 
 #: Exact family counts for small ground sets, used by guards and verification.
 KNOWN_COUNTS = {1: 2, 2: 7, 3: 61, 4: 2480, 5: 1385552}
@@ -85,13 +88,6 @@ class MooreFamily:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def min_member(self) -> int:
-        inter = self.full
-        for m in self.members:
-            inter &= m
-        return inter
-
     def __contains__(self, mask: int) -> bool:
         return mask in self.members
 
@@ -162,39 +158,37 @@ def _searchable_full_set(n: int) -> int:
     return (1 << n) - 1
 
 
-def _closed_prefixes(full: int) -> Iterator[List[int]]:
-    """Proper members of every family below ``full``, once each, in canonical
-    order; the search behind ``enumerate_moore``.
+def _closed_folds(full: int, start: _T, grow: Callable[[_T, int], _T]) -> Iterator[_T]:
+    """Every family below ``full`` once, in canonical order, as its proper
+    members folded by ``grow`` from ``start``; the search behind
+    ``enumerate_moore`` and ``enumerate_record_texts``.
 
     Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
     all p in P gives a child P + [c], whose candidates are P's after c with
-    d & c in P + [c].  So P + [full] is a family, and P, yielded as the live
-    list after its children, sorts after theirs.
+    d & c in P + [c].  So P + [full] is a family, and P, yielded after its
+    children, sorts after theirs.  A child's fold is ``grow(fold of P, c)``,
+    so each family costs one ``grow`` however many members it has.
     """
-    prefix: List[int] = []
-    present = 0  # bit s is set iff subset s is in the prefix
     proper = list(range(full))
-    stack = [(proper, enumerate(proper))]
+    # frames: candidates, their iterator, the prefix as a bitmask (bit s set
+    # iff subset s is in it) and the prefix's fold
+    stack = [(proper, enumerate(proper), 0, start)]
     while stack:
-        cands, steps = stack[-1]
+        cands, steps, present, fold = stack[-1]
         for i, c in steps:
-            prefix.append(c)
-            present |= 1 << c
-            rest = [d for d in cands[i + 1:] if present >> (d & c) & 1]
+            grown = present | 1 << c
+            rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
             if rest:
-                stack.append((rest, enumerate(rest)))
+                stack.append((rest, enumerate(rest), grown, grow(fold, c)))
                 break
-            yield prefix
-            present ^= 1 << prefix.pop()
+            yield grow(fold, c)
         else:
             stack.pop()
-            yield prefix
-            if prefix:
-                present ^= 1 << prefix.pop()
+            yield fold
 
 
 def _completions(memo: Dict[int, int], width: int, present: int, cands: List[int]) -> int:
-    """Families at and below a state of ``_closed_prefixes``' search: a
+    """Families at and below a state of ``_closed_folds``' search: a
     prefix (bit s of ``present`` set iff s is in it) and its ascending
     candidates ``cands``.
 
@@ -231,13 +225,25 @@ def count_moore(n: int) -> int:
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:
     """All families exactly once, ascending in canonical serialization."""
     full = _searchable_full_set(n)
-    for prefix in _closed_prefixes(full):
-        yield MooreFamily._trusted(n, (*prefix, full))
+    for members in _closed_folds(full, (), lambda acc, c: acc + (c,)):
+        yield MooreFamily._trusted(n, (*members, full))
+
+
+def enumerate_record_texts(n: int) -> Iterator[str]:
+    """``family_record_text(f) + "\\n"`` for every f of ``enumerate_moore(n)``,
+    each record folded from its parent's in the search, not rendered anew."""
+    full = _searchable_full_set(n)
+    items = [_MEMBER_TEXTS[c] + "," for c in range(full)]
+    last = _MEMBER_TEXTS[full] + _RECORD_TAIL + "\n"
+    for body in _closed_folds(full, _RECORD_HEAD % n, lambda acc, c: acc + items[c]):
+        yield body + last
 
 
 def is_principal_upfilter(family: MooreFamily) -> Tuple[bool, Optional[int]]:
     """Is the family exactly all supersets of its minimum member?"""
-    base = family.min_member
+    # The least member is the meet of all members, a member itself, and a
+    # subset of every member, so it comes first in ascending order.
+    base = family.members[0]
     expected = 2 ** (family.n - bin(base).count("1"))
     if len(family.members) != expected:
         return (False, None)
@@ -268,10 +274,15 @@ class _MemberTexts(dict):
 _MEMBER_TEXTS = _MemberTexts()
 
 
+#: A family record's text is head % n, the member texts joined by ",", tail.
+_RECORD_HEAD = '{"n":%s,"members":['
+_RECORD_TAIL = "]}"
+
+
 def family_record_text(family: MooreFamily) -> str:
     """``json.dumps(family_to_record(family), separators=(",", ":"))``."""
     members = ",".join(map(_MEMBER_TEXTS.__getitem__, family.members))
-    return f'{{"n":{family.n},"members":[{members}]}}'
+    return _RECORD_HEAD % family.n + members + _RECORD_TAIL
 
 
 def family_from_record(record: dict) -> MooreFamily:

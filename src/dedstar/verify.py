@@ -61,14 +61,32 @@ def table1(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[
     return checks
 
 
+def _middle_layer_witness(n: int) -> bool:
+    """Each set S of floor(n/2)-subsets generates a family whose
+    floor(n/2)-subsets are exactly S: the injection behind the lower bound."""
+    middle = [a for a in range(1 << n) if bin(a).count("1") == n // 2]
+    layer = set(middle)
+    for choice in range(1 << len(middle)):
+        chosen = {a for i, a in enumerate(middle) if choice >> i & 1}
+        if chosen != layer.intersection(moore.moore_generate(chosen, n).members):
+            return False
+    return True
+
+
 def bounds(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
-    """2^C(n, floor(n/2)) <= count(n) <= 2^2^n for n = 1..max_n."""
+    """2^C(n, floor(n/2)) <= count(n) <= 2^2^n for n = 1..max_n, and the
+    lower bound's witness: 2^C(n, floor(n/2)) families with distinct middle
+    layers."""
     counts = _largest_first(max_n, count)
     checks = []
     for k in range(1, max_n + 1):
         c = counts[k]
         checks.append((f"2^C({k},{k // 2}) <= count({k}) <= 2^2^{k}",
                        moore.binom_lower_bound(k) <= c <= 2 ** (2 ** k)))
+    for k in range(1, max_n + 1):
+        checks.append((f"each set S of {k // 2}-subsets of {{0..{k - 1}}} generates "
+                       f"a family whose {k // 2}-subsets are S",
+                       _middle_layer_witness(k)))
     return checks
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dedstar import moore
 from dedstar.cli import SUITES, main
 from dedstar.moore import is_moore, family_from_record
 
@@ -113,7 +114,17 @@ class TestVerify:
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "verify", "bounds", "--max-n", "4")
-        assert code == 0 and out.count("PASS") == 4
+        assert code == 0 and out.count("PASS") == 8 and "FAIL" not in out
+        assert "PASS each set S of 2-subsets of {0..3} generates" in out
+
+    def test_bounds_catches_a_broken_witness(self, capsys, monkeypatch):
+        """A generator that drops a member breaks the lower bound's witness."""
+        generate = moore.moore_generate
+        monkeypatch.setattr(moore, "moore_generate",
+                            lambda subsets, n: generate(sorted(subsets)[1:], n))
+        code, out, _ = run(capsys, "verify", "bounds", "--max-n", "3")
+        assert code == 1
+        assert out.count("PASS") == 3 and out.count("FAIL") == 3
 
     def test_finite_type(self, capsys):
         code, out, _ = run(capsys, "verify", "finite-type", "3")

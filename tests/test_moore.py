@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import types
 
 import pytest
 
@@ -14,6 +15,7 @@ from dedstar.moore import (
     closure,
     count_moore,
     enumerate_moore,
+    enumerate_record_texts,
     family_from_record,
     family_join,
     family_meet,
@@ -279,6 +281,21 @@ class TestSerialization:
         for fam in families:
             assert family_record_text(fam) == json.dumps(
                 family_to_record(fam), separators=(",", ":"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_record_texts_match_the_renderer(self, n):
+        assert list(enumerate_record_texts(n)) == [
+            family_record_text(f) + "\n" for f in enumerate_moore(n)]
+
+    def test_record_texts_are_lazy(self):
+        texts = enumerate_record_texts(5)
+        assert isinstance(texts, types.GeneratorType)
+        assert next(texts) == family_record_text(next(enumerate_moore(5))) + "\n"
+
+    def test_record_texts_guard(self):
+        texts = enumerate_record_texts(6)
+        with pytest.raises(GuardError):
+            next(texts)
 
     def test_mask_helpers(self):
         assert mask_of([0, 2], 3) == 0b101
