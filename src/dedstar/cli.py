@@ -165,14 +165,20 @@ def cmd_star() -> None:
 
 def _family_option():
     return click.option("--family", "family_texts", multiple=True, required=True,
-                        help="inline family record or @file; repeatable")
+                        help="inline family record or @file; meet and join take several")
+
+
+def _one_family(family_texts) -> MooreFamily:
+    if len(family_texts) > 1:
+        raise InputError("--family given more than once")
+    return parse_family(family_texts[0])
 
 
 @cmd_star.command(name="apply")
 @_family_option()
 @click.option("--module", "module_text", required=True)
 def star_apply(family_texts, module_text: str) -> None:
-    family = parse_family(family_texts[0])
+    family = _one_family(family_texts)
     f = parse_vector_inline(module_text)
     if f is ZERO:
         raise InputError("cannot apply a star to the zero module")
@@ -204,7 +210,7 @@ def star_join_cmd(family_texts) -> None:
 @cmd_star.command(name="classify")
 @_family_option()
 def star_classify(family_texts) -> None:
-    star = stars.star_from_moore(parse_family(family_texts[0]))
+    star = stars.star_from_moore(_one_family(family_texts))
     click.echo(", ".join(stars.classify(star)))
 
 
@@ -268,7 +274,7 @@ def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
     if n is None and not star_files:
         raise InputError("give a spectrum size or star files")
     if n is not None:
-        if n > moore.ENUMERATION_GUARD or moore.KNOWN_COUNTS.get(n, moore.ISO_GUARD + 1) > moore.ISO_GUARD:
+        if moore.KNOWN_COUNTS.get(n, moore.ISO_GUARD + 1) > moore.ISO_GUARD:
             raise GuardError(f"star lattice at n={n} exceeds {moore.ISO_GUARD} elements")
         star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(n)]
     else:

@@ -204,17 +204,6 @@ def inf_support(f: ValVector) -> FrozenSet[int]:
     return frozenset(i for i, e in enumerate(f.entries) if e is POS_INF)
 
 
-def preceq(f: ValVector, g: ValVector) -> bool:
-    """Domination preorder: identical +inf sets, and f <= g off a finite set.
-
-    The inequality clause allows finitely many violations; on a finite prime
-    list every violation set is finite, so the check reduces to +inf-support
-    equality.
-    """
-    _same_spectrum(f, g)
-    return inf_support(f) == inf_support(g)
-
-
 def scale(f: ModuleVector, c: ValVector) -> ModuleVector:
     """Multiply by a principal module: c must be finite everywhere."""
     if any(e is POS_INF for e in c.entries):

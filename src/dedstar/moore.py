@@ -287,9 +287,14 @@ def family_record_text(family: MooreFamily) -> str:
 
 def family_from_record(record: dict) -> MooreFamily:
     n = record["n"]
+    # bool is an int subclass: without these checks JSON true reads as 1
+    if type(n) is not int:
+        raise TypeError(f"n must be an integer, not {n!r}")
     guard_ground_set(n)
-    members = tuple(sorted(mask_of(idx, n) for idx in record["members"]))
-    return MooreFamily(n, members)
+    rows = record["members"]
+    if any(type(i) is not int for row in rows for i in row):
+        raise TypeError("member indices must be integers")
+    return MooreFamily(n, tuple(sorted(mask_of(row, n) for row in rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,6 @@ def colon_oracle(I: FracIdealSpec, J: FracIdealSpec) -> ValVector:
     return ValVector(I.primes, tuple(entries))
 
 
-def product_spec(I: FracIdealSpec, J: FracIdealSpec) -> FracIdealSpec:
-    """Generators of the product ideal: all pairwise generator products."""
-    if I.primes != J.primes:
-        raise ValueError("prime lists differ")
-    return FracIdealSpec(I.primes, tuple(a * b for a in I.gens for b in J.gens))
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or an integer literal into an exact rational."""
     try:

@@ -9,14 +9,12 @@ family-closure of its +inf support.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Sequence, Tuple
 
 from .extvec import (
     POS_INF,
     ZERO,
-    ExtInt,
     ModuleVector,
     SpectrumError,
     ValVector,
@@ -25,13 +23,13 @@ from .extvec import (
     iota,
     top,
     vec_colon,
-    vec_inf,
     vec_mul,
 )
 from .moore import (
     GuardError,
     MooreFamily,
     closure,
+    family_from_record,
     family_join,
     family_meet,
     indices_of,
@@ -63,10 +61,8 @@ def default_primes(n: int) -> Tuple[int, ...]:
     return tuple(range(n))
 
 
-def star_from_moore(family: MooreFamily, primes: Optional[Sequence[Hashable]] = None) -> Star:
-    if primes is None:
-        primes = default_primes(family.n)
-    return Star(tuple(primes), family)
+def star_from_moore(family: MooreFamily) -> Star:
+    return Star(default_primes(family.n), family)
 
 
 def _require_nonzero(f: ModuleVector) -> ValVector:
@@ -128,17 +124,6 @@ def star_join(stars: Sequence[Star]) -> Star:
     return _combine(stars, family_meet, "join")
 
 
-def identity_star(primes: Sequence[Hashable]) -> Star:
-    n = len(primes)
-    full_powerset = MooreFamily(n, tuple(range(1 << n)))
-    return Star(tuple(primes), full_powerset)
-
-
-def trivial_extension(primes: Sequence[Hashable]) -> Star:
-    n = len(primes)
-    return Star(tuple(primes), MooreFamily(n, ((1 << n) - 1,)))
-
-
 def dagger_supports(gens: Iterable[ValVector], primes: Sequence[Hashable]) -> MooreFamily:
     """Support family of the smallest closed-module class containing gens."""
     primes = tuple(primes)
@@ -149,53 +134,6 @@ def dagger_supports(gens: Iterable[ValVector], primes: Sequence[Hashable]) -> Mo
             raise SpectrumError("generator spectrum mismatch")
         masks.add(_support_mask(g))
     return moore_generate(masks, n)
-
-
-DAGGER_MAX_N = 3
-DAGGER_MAX_BOUND = 4
-DAGGER_MAX_GENS = 4
-
-
-def dagger_bounded_oracle(
-    gens: Sequence[ValVector], primes: Sequence[Hashable], bound: int
-) -> Set[ValVector]:
-    """Literal closure of gens under domination and windowed infima.
-
-    Materializes every vector with entries in {-bound..bound, +inf} dominated
-    by some generator, then closes under pointwise infima of subsets
-    (including the empty infimum, the all-+inf vector).  Independent of the
-    support-family route.
-    """
-    primes = tuple(primes)
-    n = len(primes)
-    if n > DAGGER_MAX_N or bound > DAGGER_MAX_BOUND or len(gens) > DAGGER_MAX_GENS:
-        raise GuardError(
-            f"window guard: need n <= {DAGGER_MAX_N}, bound <= {DAGGER_MAX_BOUND}, "
-            f"|gens| <= {DAGGER_MAX_GENS}"
-        )
-    values: List[ExtInt] = list(range(-bound, bound + 1)) + [POS_INF]
-    window = [
-        ValVector(primes, entries)
-        for entries in itertools.product(values, repeat=n)
-    ]
-    gen_supports = {inf_support(g) for g in gens if g.primes == primes}
-    if any(g.primes != primes for g in gens):
-        raise SpectrumError("generator spectrum mismatch")
-    # Domination on a finite prime list reduces to +inf-support equality.
-    dominated = {v for v in window if inf_support(v) in gen_supports}
-    result: Set[ValVector] = set(dominated)
-    result.add(top(primes))
-    frontier = list(result)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in result:
-                m = vec_inf([a, b], primes)
-                if m not in result and m not in fresh:
-                    fresh.append(m)
-        result.update(fresh)
-        frontier = fresh
-    return result
 
 
 def v_of(j: ModuleVector) -> Star:
@@ -261,28 +199,6 @@ def is_finite_type(star: Star) -> bool:
     return ok
 
 
-def finite_type_by_truncation(star: Star, samples: Iterable[ValVector], bound: int) -> bool:
-    """Truncation oracle: closure must commute with exhausting +inf entries.
-
-    Replaces +inf entries by the witnesses bound and bound+1; where the two
-    closed truncations differ the supremum over all truncations is +inf, and
-    by monotonicity two witnesses suffice (the closed support of a truncation
-    does not depend on the witness).
-    """
-    for f in samples:
-        direct = apply(star, f)
-        trunc = []
-        for k in (bound, bound + 1):
-            entries = tuple(k if e is POS_INF else e for e in f.entries)
-            trunc.append(apply(star, ValVector(f.primes, entries)))
-        sup_entries = tuple(
-            a if a == b else POS_INF for a, b in zip(trunc[0].entries, trunc[1].entries)
-        )
-        if ValVector(f.primes, sup_entries) != direct:
-            return False
-    return True
-
-
 def classify(star: Star) -> List[str]:
     """Human-readable labels for reporting."""
     labels = []
@@ -304,13 +220,5 @@ def classify(star: Star) -> List[str]:
     return labels
 
 
-def star_to_record(star: Star) -> dict:
-    from .moore import family_to_record
-
-    return {"primes": list(star.primes), "family": family_to_record(star.family)}
-
-
 def star_from_record(record: dict) -> Star:
-    from .moore import family_from_record
-
     return Star(tuple(record["primes"]), family_from_record(record["family"]))

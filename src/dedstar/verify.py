@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import extvec, moore, rationals, stars
 from .extvec import POS_INF, ValVector
@@ -44,15 +44,15 @@ def random_frac_spec(rng: random.Random, primes=(2, 3, 5), max_gens: int = 3,
     return rationals.FracIdealSpec(tuple(primes), tuple(gens))
 
 
-def _largest_first(max_n: int, count: Callable[[int], int]) -> Dict[int, int]:
-    """count(k) for k = 1..max_n, largest first, so that a size guard refuses
-    max_n before the smaller counts are spent."""
-    return {k: count(k) for k in range(max_n, 0, -1)}
+def _largest_first(max_n: int) -> Dict[int, int]:
+    """count_moore(k) for k = 1..max_n, largest first, so that a size guard
+    refuses max_n before the smaller counts are spent."""
+    return {k: moore.count_moore(k) for k in range(max_n, 0, -1)}
 
 
-def table1(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
+def table1(max_n: int) -> List[Check]:
     """The family counts for n = 1..max_n against the paper's table."""
-    counts = _largest_first(max_n, count)
+    counts = _largest_first(max_n)
     checks = []
     for k in range(1, max_n + 1):
         got = counts[k]
@@ -73,11 +73,11 @@ def _middle_layer_witness(n: int) -> bool:
     return True
 
 
-def bounds(max_n: int, count: Callable[[int], int] = moore.count_moore) -> List[Check]:
+def bounds(max_n: int) -> List[Check]:
     """2^C(n, floor(n/2)) <= count(n) <= 2^2^n for n = 1..max_n, and the
     lower bound's witness: 2^C(n, floor(n/2)) families with distinct middle
     layers."""
-    counts = _largest_first(max_n, count)
+    counts = _largest_first(max_n)
     checks = []
     for k in range(1, max_n + 1):
         c = counts[k]
@@ -139,8 +139,8 @@ def axioms(trials: int, seed: int, max_n: int) -> List[Check]:
     bad = 0
     for _ in range(trials):
         k = rng.randint(1, max_n)
-        primes = stars.default_primes(k)
-        star = stars.star_from_moore(rng.choice(pools[k]), primes)
+        star = stars.star_from_moore(rng.choice(pools[k]))
+        primes = star.primes
         f, g, h = (random_vector(rng, primes) for _ in range(3))
         fa, ga, ha = (stars.apply(star, v) for v in (f, g, h))
         ok = extvec.vec_le(f, fa) and stars.apply(star, fa) == fa

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the brute-force oracles that only
+the tests compare the library against."""
 
 import itertools
 
-from dedstar.extvec import POS_INF, ValVector, inf_support, vec_colon, vec_inf, ZERO
-from dedstar.moore import mask_of
+from dedstar.extvec import (
+    POS_INF, SpectrumError, ValVector, inf_support, top, vec_colon, vec_inf, ZERO)
+from dedstar.moore import GuardError, mask_of
+from dedstar.rationals import FracIdealSpec
+from dedstar.stars import apply
 
 
 def windowed_vectors(primes, bound):
@@ -13,6 +17,82 @@ def windowed_vectors(primes, bound):
         ValVector(tuple(primes), entries)
         for entries in itertools.product(values, repeat=len(primes))
     ]
+
+
+def preceq(f, g):
+    """Domination preorder: identical +inf sets, and f <= g off a finite set.
+
+    The inequality clause allows finitely many violations; on a finite prime
+    list every violation set is finite, so the check reduces to +inf-support
+    equality.
+    """
+    if f.primes != g.primes:
+        raise SpectrumError(f"prime lists differ: {f.primes} vs {g.primes}")
+    return inf_support(f) == inf_support(g)
+
+
+DAGGER_MAX_N = 3
+DAGGER_MAX_BOUND = 4
+DAGGER_MAX_GENS = 4
+
+
+def dagger_bounded_oracle(gens, primes, bound):
+    """Literal closure of gens under domination and windowed infima.
+
+    Materializes every vector with entries in {-bound..bound, +inf} dominated
+    by some generator, then closes under pointwise infima of subsets
+    (including the empty infimum, the all-+inf vector).  Independent of the
+    support-family route, ``stars.dagger_supports``.
+    """
+    primes = tuple(primes)
+    if len(primes) > DAGGER_MAX_N or bound > DAGGER_MAX_BOUND or len(gens) > DAGGER_MAX_GENS:
+        raise GuardError(
+            f"window guard: need n <= {DAGGER_MAX_N}, bound <= {DAGGER_MAX_BOUND}, "
+            f"|gens| <= {DAGGER_MAX_GENS}"
+        )
+    result = {v for v in windowed_vectors(primes, bound)
+              if any(preceq(v, g) for g in gens)}
+    result.add(top(primes))
+    frontier = list(result)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in result:
+                m = vec_inf([a, b], primes)
+                if m not in result and m not in fresh:
+                    fresh.append(m)
+        result.update(fresh)
+        frontier = fresh
+    return result
+
+
+def finite_type_by_truncation(star, samples, bound):
+    """Truncation oracle: closure must commute with exhausting +inf entries.
+
+    Replaces +inf entries by the witnesses bound and bound+1; where the two
+    closed truncations differ the supremum over all truncations is +inf, and
+    by monotonicity two witnesses suffice (the closed support of a truncation
+    does not depend on the witness).
+    """
+    for f in samples:
+        direct = apply(star, f)
+        trunc = []
+        for k in (bound, bound + 1):
+            entries = tuple(k if e is POS_INF else e for e in f.entries)
+            trunc.append(apply(star, ValVector(f.primes, entries)))
+        sup_entries = tuple(
+            a if a == b else POS_INF for a, b in zip(trunc[0].entries, trunc[1].entries)
+        )
+        if ValVector(f.primes, sup_entries) != direct:
+            return False
+    return True
+
+
+def product_spec(I, J):
+    """Generators of the product ideal: all pairwise generator products."""
+    if I.primes != J.primes:
+        raise ValueError("prime lists differ")
+    return FracIdealSpec(I.primes, tuple(a * b for a in I.gens for b in J.gens))
 
 
 def closed_windowed_set(member_masks, primes, bound):
@@ -33,8 +113,6 @@ def violates_closed_family_conditions(member_masks, primes, bound):
     closure under colon by arbitrary windowed vectors (zero results exempt);
     None if all hold.
     """
-    from dedstar.extvec import top
-
     vectors = closed_windowed_set(member_masks, primes, bound)
     if top(primes) not in vectors:
         return "missing top (empty intersection)"

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import violates_closed_family_conditions, windowed_vectors
+from conftest import (
+    dagger_bounded_oracle, violates_closed_family_conditions, windowed_vectors)
 
 from dedstar import extvec, moore, stars, verify
 from dedstar.extvec import POS_INF, ValVector, inf_support, vec_inf, vec_le
@@ -25,7 +26,6 @@ from dedstar.moore import (
 from dedstar.stars import (
     apply,
     d_of_overring,
-    dagger_bounded_oracle,
     dagger_supports,
     default_primes,
     is_finite_type,
@@ -63,7 +63,7 @@ def passed(checks):
 def test_criterion_1_table_reproduction(census):
     counts, timings = census
     assert moore.KNOWN_COUNTS == TABLE1
-    ok = passed(verify.table1(5, counts.__getitem__))
+    ok = passed(verify.table1(5))
     ok = ok and all(timings[n] <= 1.0 for n in range(1, 5))
     ok = ok and timings[5] <= 600.0
     guard_refused = False
@@ -78,10 +78,9 @@ def test_criterion_1_table_reproduction(census):
     )
 
 
-def test_criterion_2_bounds(census):
-    counts, _ = census
+def test_criterion_2_bounds():
     report("criterion 2: 2^C(n,[n/2]) <= count <= 2^2^n for n=1..5",
-           passed(verify.bounds(5, counts.__getitem__)))
+           passed(verify.bounds(5)))
 
 
 def test_criterion_3_finite_type_census():
@@ -100,7 +99,7 @@ def test_criterion_3_finite_type_census():
         gens = {rng.randrange(32) for _ in range(rng.randint(1, 4))}
         fam = moore_generate(gens, 5)
         if not is_principal_upfilter(fam)[0]:
-            assert not is_finite_type(star_from_moore(fam, primes5))
+            assert not is_finite_type(star_from_moore(fam))
             rejected += 1
     report(
         "criterion 3: finite-type census 2^n for n<=4; 32 overring stars at n=5; "
@@ -166,7 +165,7 @@ def test_criterion_8_meet_join_laws():
     rng = random.Random(3000)
     primes = default_primes(3)
     families = list(enumerate_moore(3))
-    star_list = [star_from_moore(f, primes) for f in families]
+    star_list = [star_from_moore(f) for f in families]
     samples = [verify.random_vector(rng, primes) for _ in range(20)]
     closed_pool = windowed_vectors(primes, 2)
     for s1, s2 in itertools.product(star_list, repeat=2):

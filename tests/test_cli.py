@@ -223,6 +223,26 @@ class TestStar:
         assert code == 4 and out == ""
         assert "duplicate member" in err
 
+    @pytest.mark.parametrize("family", [
+        '{"n":true,"members":[[0]]}',
+        '{"n":2,"members":[[true],[0,1]]}',
+    ], ids=["n", "index"])
+    def test_boolean_in_family_rejected(self, capsys, family):
+        code, out, err = run(capsys, "star", "meet", "--family", family)
+        assert code == 4 and out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb,extra", [
+        ("apply", ("--module", "(0,0)")),
+        ("classify", ()),
+    ], ids=["apply", "classify"])
+    def test_repeated_family_rejected(self, capsys, verb, extra):
+        code, out, err = run(capsys, "star", verb,
+                             "--family", "{n:2,members:[[0],[0,1]]}",
+                             "--family", "{n:3,members:[[0,1,2]]}", *extra)
+        assert code == 4 and out == ""
+        assert "more than once" in err
+
     def test_non_moore_family_rejected(self, capsys):
         code, _, err = run(capsys, "star", "classify",
                            "--family", "{n:2,members:[[0],[1],[0,1]]}")
@@ -304,8 +324,10 @@ class TestHasse:
         assert all(len(e) == 2 for e in payload["edges"])
 
     def test_guard(self, capsys):
-        code, _, _ = run(capsys, "hasse", "4")
-        assert code == 2
+        for n in ("4", "6"):
+            code, _, err = run(capsys, "hasse", n)
+            assert code == 2
+            assert err == f"refused: star lattice at n={n} exceeds 200 elements\n"
 
     def test_star_files(self, capsys, tmp_path):
         f1 = tmp_path / "s1.json"

@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import preceq
+
 from dedstar.extvec import (
     NEG_INF,
     POS_INF,
@@ -18,7 +20,6 @@ from dedstar.extvec import (
     iota,
     make_vector,
     one,
-    preceq,
     scale,
     top,
     vec_colon,

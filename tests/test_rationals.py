@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import product_spec
+
 from dedstar.extvec import POS_INF, ValVector, one, vec_colon, vec_mul
 from dedstar.moore import GuardError
 from dedstar.rationals import (
@@ -13,7 +15,6 @@ from dedstar.rationals import (
     module_member,
     padic_val,
     parse_rational,
-    product_spec,
     vector_of_module,
 )
 from dedstar.verify import random_frac_spec

@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from conftest import windowed_vectors
+from conftest import dagger_bounded_oracle, finite_type_by_truncation, windowed_vectors
 
 from dedstar.extvec import (
     POS_INF,
@@ -22,6 +23,7 @@ from dedstar.moore import (
     GuardError,
     MooreFamily,
     enumerate_moore,
+    family_to_record,
     indices_of,
     mask_of,
 )
@@ -32,11 +34,8 @@ from dedstar.stars import (
     classify,
     d_apply_direct,
     d_of_overring,
-    dagger_bounded_oracle,
     dagger_supports,
     default_primes,
-    finite_type_by_truncation,
-    identity_star,
     is_closed,
     is_finite_type,
     star_from_moore,
@@ -44,8 +43,6 @@ from dedstar.stars import (
     star_join,
     star_le,
     star_meet,
-    star_to_record,
-    trivial_extension,
     v_apply_by_colon,
     v_of,
 )
@@ -56,8 +53,8 @@ P3 = (2, 3, 5)
 
 
 def star_of(n, member_masks, primes=None):
-    return star_from_moore(MooreFamily(n, tuple(sorted(member_masks))),
-                           primes or default_primes(n))
+    return Star(primes or default_primes(n),
+                MooreFamily(n, tuple(sorted(member_masks))))
 
 
 class TestConstruction:
@@ -71,12 +68,12 @@ class TestConstruction:
 
 class TestApply:
     def test_identity_star_fixes_everything(self):
-        s = identity_star(P2)
+        s = d_of_overring(P2, range(2))
         for f in windowed_vectors(P2, 2):
             assert apply(s, f) == f
 
     def test_trivial_extension_sends_everything_to_top(self):
-        s = trivial_extension(P2)
+        s = d_of_overring(P2, ())
         for f in windowed_vectors(P2, 2):
             assert apply(s, f) == top(P2)
 
@@ -86,7 +83,7 @@ class TestApply:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroModuleError):
-            apply(identity_star(P2), ZERO)
+            apply(d_of_overring(P2, range(2)), ZERO)
 
     def test_result_is_least_closed_upper_bound(self):
         # bounded brute force over the window, n <= 3
@@ -94,7 +91,7 @@ class TestApply:
         for n, primes in ((2, P2), (3, P3)):
             families = list(enumerate_moore(n))
             for fam in rng.sample(families, min(10, len(families))):
-                s = star_from_moore(fam, primes)
+                s = Star(primes, fam)
                 closed = [v for v in windowed_vectors(primes, 3) if is_closed(s, v)]
                 for f in windowed_vectors(primes, 2)[:: 7 if n == 3 else 1]:
                     expected = vec_inf(
@@ -108,7 +105,7 @@ class TestApply:
         for _ in range(500):
             n = rng.randint(1, 4)
             primes = default_primes(n)
-            s = star_from_moore(rng.choice(pools[n]), primes)
+            s = Star(primes, rng.choice(pools[n]))
             f = random_vector(rng, primes)
             g = random_vector(rng, primes)
             fa = apply(s, f)
@@ -125,7 +122,7 @@ class TestApply:
         for _ in range(500):
             n = rng.randint(1, 3)
             primes = default_primes(n)
-            s = star_from_moore(rng.choice(pools[n]), primes)
+            s = Star(primes, rng.choice(pools[n]))
             f = random_vector(rng, primes)
             g = random_vector(rng, primes)
             h = random_vector(rng, primes)
@@ -141,7 +138,7 @@ class TestApply:
         sample = windowed_vectors(P2, 2)
         for f1, f2 in itertools.product(families, repeat=2):
             if set(f1.members) <= set(f2.members):
-                s1, s2 = star_from_moore(f1, P2), star_from_moore(f2, P2)
+                s1, s2 = Star(P2, f1), Star(P2, f2)
                 assert star_le(s2, s1)
                 for f in sample:
                     assert vec_le(apply(s2, f), apply(s1, f))
@@ -153,17 +150,17 @@ class TestIsClosed:
         assert is_closed(s, ValVector(P2, (POS_INF, 3)))
         assert not is_closed(s, one(P2))
         for fam in enumerate_moore(2):
-            assert is_closed(star_from_moore(fam, P2), top(P2))
+            assert is_closed(Star(P2, fam), top(P2))
 
     def test_agrees_with_apply_fixpoint(self):
         for fam in enumerate_moore(2):
-            s = star_from_moore(fam, P2)
+            s = Star(P2, fam)
             for f in windowed_vectors(P2, 2):
                 assert is_closed(s, f) == (apply(s, f) == f)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroModuleError):
-            is_closed(identity_star(P2), ZERO)
+            is_closed(d_of_overring(P2, range(2)), ZERO)
 
 
 class TestDagger:
@@ -207,7 +204,7 @@ class TestDagger:
 
 class TestMeetJoin:
     def test_extremes(self):
-        d, e = identity_star(P2), trivial_extension(P2)
+        d, e = d_of_overring(P2, range(2)), d_of_overring(P2, ())
         assert star_meet([e, d]) == d
         assert star_join([e, d]) == e
         assert star_le(d, e)
@@ -221,7 +218,7 @@ class TestMeetJoin:
         rng = random.Random(29)
         families = list(enumerate_moore(2))
         for f1, f2 in itertools.product(families, repeat=2):
-            s1, s2 = star_from_moore(f1, P2), star_from_moore(f2, P2)
+            s1, s2 = Star(P2, f1), Star(P2, f2)
             m = star_meet([s1, s2])
             for _ in range(5):
                 f = random_vector(rng, P2)
@@ -231,7 +228,7 @@ class TestMeetJoin:
         rng = random.Random(31)
         families = list(enumerate_moore(2))
         for f1, f2 in itertools.product(families, repeat=2):
-            s1, s2 = star_from_moore(f1, P2), star_from_moore(f2, P2)
+            s1, s2 = Star(P2, f1), Star(P2, f2)
             j = star_join([s1, s2])
             for _ in range(5):
                 f = random_vector(rng, P2)
@@ -267,8 +264,8 @@ class TestDivisorial:
 
 class TestOverringStars:
     def test_extreme_bases(self):
-        assert d_of_overring(P2, {0, 1}) == identity_star(P2)
-        assert d_of_overring(P2, set()) == trivial_extension(P2)
+        assert d_of_overring(P2, {0, 1}) == star_of(2, range(4), P2)
+        assert d_of_overring(P2, set()) == star_of(2, {0b11}, P2)
 
     def test_example(self):
         assert d_of_overring(P2, {0}).family.members == (0b10, 0b11)
@@ -315,7 +312,7 @@ class TestFiniteType:
                 assert is_finite_type(d_of_overring(P2, x))
 
     def test_trivial_extension_is_finite_type(self):
-        assert is_finite_type(trivial_extension(P3))
+        assert is_finite_type(d_of_overring(P3, ()))
 
     def test_divisorial_counterexample(self):
         s = v_of(one(P2))
@@ -336,19 +333,19 @@ class TestFiniteType:
     def test_truncation_oracle_agrees_on_all_families(self):
         samples = windowed_vectors(P2, 2)
         for fam in enumerate_moore(2):
-            s = star_from_moore(fam, P2)
+            s = Star(P2, fam)
             assert finite_type_by_truncation(s, samples, 4) == is_finite_type(s)
 
 
 class TestClassify:
     def test_identity(self):
-        labels = classify(identity_star(P2))
+        labels = classify(d_of_overring(P2, range(2)))
         assert "identity" in labels
         assert "finite-type" in labels
         assert "overring-induced X={0,1}" in labels
 
     def test_trivial_extension(self):
-        labels = classify(trivial_extension(P2))
+        labels = classify(d_of_overring(P2, ()))
         assert "trivial-extension" in labels
         assert "finite-type" in labels
         assert "overring-induced X={}" in labels
@@ -361,12 +358,12 @@ class TestClassify:
 class TestSerialization:
     def test_roundtrip(self):
         for fam in enumerate_moore(2):
-            s = star_from_moore(fam, P2)
-            assert star_from_record(star_to_record(s)) == s
+            record = {"primes": list(P2), "family": family_to_record(fam)}
+            assert star_from_record(record) == Star(P2, fam)
 
     def test_record_shape(self):
-        s = star_of(2, {0b01, 0b11}, P2)
-        assert star_to_record(s) == {
-            "primes": [2, 3],
-            "family": {"n": 2, "members": [[0], [0, 1]]},
-        }
+        """A star file as the README gives its format."""
+        record = json.loads('{"primes":[2,3],"family":{"n":2,"members":[[0,1],[0]]}}')
+        assert star_from_record(record) == star_of(2, {0b01, 0b11}, P2)
+        with pytest.raises(SpectrumError):
+            star_from_record({"primes": [2], "family": record["family"]})
