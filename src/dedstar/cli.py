@@ -1,18 +1,21 @@
 """Command-line interface.
 
 Verbs: enumerate, count, verify, star, adapter, hasse.  Exit codes: 0 pass,
-1 failed verification assertion, 2 size-guard refusal, 3 I/O error,
-4 malformed input.  Output is deterministic byte-for-byte for fixed flags.
+1 failed verification assertion, 2 size-guard refusal, 3 I/O error or a
+closed stdout, 4 malformed input; :func:`main` alone maps errors to them.
+Output is deterministic byte-for-byte for fixed flags.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
 
 import click
+from click.core import ParameterSource
 
 from . import extvec, moore, rationals, stars, verify
 from .extvec import POS_INF, ZERO
@@ -27,10 +30,6 @@ EXIT_INPUT = 4
 
 class InputError(ValueError):
     """Malformed CLI input (exit code 4)."""
-
-
-class VerifyFailure(RuntimeError):
-    """A verification suite assertion failed (exit code 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +61,17 @@ def _load_text(source: str) -> str:
     return source
 
 
-def parse_family(text: str) -> MooreFamily:
-    record = _lenient_json(_load_text(text))
+def _parse_record(source: str, build, what: str):
+    """Build a value from a record; a record of the wrong shape is malformed."""
+    record = _lenient_json(_load_text(source))
     try:
-        return moore.family_from_record(record)
+        return build(record)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad family record: {exc}") from exc
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
+def parse_family(text: str) -> MooreFamily:
+    return _parse_record(text, moore.family_from_record, "family record")
 
 
 def parse_vector_inline(text: str):
@@ -87,8 +91,6 @@ def parse_vector_inline(text: str):
                 entries.append(int(token))
             except ValueError as exc:
                 raise InputError(f"bad vector token {token!r}") from exc
-    if not entries:
-        raise InputError("empty vector")
     return extvec.make_vector(tuple(range(len(entries))), entries)
 
 
@@ -133,29 +135,36 @@ def cmd_enumerate(n: int, out: Optional[str]) -> None:
             sink.close()
 
 
-SUITES = ("table1", "bounds", "finite-type", "n2-shape", "oracles", "axioms")
+#: Each suite's checks and the arguments they read, in call order.
+SUITES = {
+    "table1": (verify.table1, ("max_n",)),
+    "bounds": (verify.bounds, ("max_n",)),
+    "finite-type": (verify.finite_type, ("n",)),
+    "n2-shape": (verify.n2_shape, ()),
+    "oracles": (verify.colon_oracle, ("trials", "seed")),
+    "axioms": (verify.axioms, ("trials", "seed", "max_n")),
+}
 
 
 @cli.command(name="verify")
-@click.argument("suite", type=click.Choice(SUITES))
-@click.argument("n", type=SPECTRUM_SIZE, required=False)
+@click.argument("suite", type=click.Choice(list(SUITES)))
+@click.argument("n", type=SPECTRUM_SIZE, default=3)
 @click.option("--max-n", type=SPECTRUM_SIZE, default=4)
 @click.option("--trials", type=click.IntRange(min=1), default=1000)
 @click.option("--seed", type=int, default=0)
-def cmd_verify(suite: str, n: Optional[int], max_n: int, trials: int, seed: int) -> None:
+@click.pass_context
+def cmd_verify(ctx: click.Context, suite: str, **args) -> None:
     """Run a verification suite; exit 1 on any failed assertion."""
-    checks = {
-        "table1": lambda: verify.table1(max_n),
-        "bounds": lambda: verify.bounds(max_n),
-        "finite-type": lambda: verify.finite_type(3 if n is None else n),
-        "n2-shape": verify.n2_shape,
-        "oracles": lambda: verify.colon_oracle(trials, seed),
-        "axioms": lambda: verify.axioms(trials, seed, max_n),
-    }[suite]()
+    run, reads = SUITES[suite]
+    for param in ctx.command.params:
+        if (param.name not in reads + ("suite",)
+                and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
+            raise click.BadParameter(f"the {suite} suite does not read it", ctx, param)
+    checks = run(*(args[name] for name in reads))
     for name, ok in checks:
         click.echo(("PASS " if ok else "FAIL ") + name)
     if not all(ok for _, ok in checks):
-        raise VerifyFailure(suite)
+        raise click.exceptions.Exit(EXIT_ASSERTION)
 
 
 @cli.group(name="star")
@@ -178,20 +187,12 @@ def _one_family(family_texts) -> MooreFamily:
 @_family_option()
 @click.option("--module", "module_text", required=True)
 def star_apply(family_texts, module_text: str) -> None:
-    family = _one_family(family_texts)
-    f = parse_vector_inline(module_text)
-    if f is ZERO:
-        raise InputError("cannot apply a star to the zero module")
-    if f.n != family.n:
-        raise InputError("module length does not match family ground set")
-    star = stars.star_from_moore(family)
-    click.echo(format_vector(stars.apply(star, f)))
+    star = stars.star_from_moore(_one_family(family_texts))
+    click.echo(format_vector(stars.apply(star, parse_vector_inline(module_text))))
 
 
 def _echo_combined(family_texts, combine) -> None:
     ss = [stars.star_from_moore(parse_family(t)) for t in family_texts]
-    if len({s.n for s in ss}) != 1:
-        raise InputError("families have different ground sets")
     click.echo(moore.family_record_text(combine(ss).family))
 
 
@@ -217,10 +218,7 @@ def star_classify(family_texts) -> None:
 @cmd_star.command(name="v-of")
 @click.option("--module", "module_text", required=True)
 def star_v_of(module_text: str) -> None:
-    j = parse_vector_inline(module_text)
-    if j is ZERO:
-        raise InputError("divisorial closure needs a nonzero module")
-    star = stars.v_of(j)
+    star = stars.v_of(parse_vector_inline(module_text))
     click.echo(moore.family_record_text(star.family))
 
 
@@ -229,13 +227,8 @@ def star_v_of(module_text: str) -> None:
 @click.option("--localized-at", "x_text", default="",
               help="comma-separated prime indices of the overring (empty for K)")
 def star_d_of(n: int, x_text: str) -> None:
-    try:
-        x = [int(tok) for tok in x_text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"bad index list {x_text!r}") from exc
-    if any(not 0 <= i < n for i in x):
-        raise InputError("index out of range")
-    moore.guard_ground_set(n)
+    x = [int(tok) for tok in x_text.split(",") if tok.strip() != ""]
+    moore.guard_ground_set(n)  # before range(n) is built
     star = stars.d_of_overring(tuple(range(n)), x)
     click.echo(moore.family_record_text(star.family))
 
@@ -246,22 +239,13 @@ def star_d_of(n: int, x_text: str) -> None:
 @click.option("--member", "member_text", default=None)
 def cmd_adapter(primes_text: str, gens_text: str, member_text: Optional[str]) -> None:
     """Valuation vector of a rational-generated ideal, or a membership test."""
-    try:
-        primes = tuple(int(tok) for tok in primes_text.split(","))
-        gens = tuple(rationals.parse_rational(tok) for tok in gens_text.split(","))
-        spec = rationals.FracIdealSpec(primes, gens)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    vec = rationals.vector_of_module(spec)
+    primes = tuple(int(tok) for tok in primes_text.split(","))
+    gens = tuple(rationals.parse_rational(tok) for tok in gens_text.split(","))
+    vec = rationals.vector_of_module(rationals.FracIdealSpec(primes, gens))
     if member_text is None:
         click.echo(format_vector(vec))
         return
-    try:
-        r = rationals.parse_rational(member_text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if r == 0:
-        raise InputError("membership test is for nonzero rationals")
+    r = rationals.parse_rational(member_text)
     click.echo("true" if rationals.module_member(vec, r) else "false")
 
 
@@ -271,20 +255,15 @@ def cmd_adapter(primes_text: str, gens_text: str, member_text: Optional[str]) ->
 @click.option("--format", "fmt", type=click.Choice(["dot", "json"]), default="dot")
 def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
     """Cover relations of the star lattice (order: reverse family inclusion)."""
-    if n is None and not star_files:
-        raise InputError("give a spectrum size or star files")
+    if (n is None) == (not star_files):
+        raise InputError("give either a spectrum size or star files")
     if n is not None:
         if moore.KNOWN_COUNTS.get(n, moore.ISO_GUARD + 1) > moore.ISO_GUARD:
             raise GuardError(f"star lattice at n={n} exceeds {moore.ISO_GUARD} elements")
         star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(n)]
     else:
-        star_list = []
-        for path in star_files:
-            record = _lenient_json(_load_text("@" + path))
-            try:
-                star_list.append(stars.star_from_record(record))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad star file {path}: {exc}") from exc
+        star_list = [_parse_record("@" + path, stars.star_from_record, f"star file {path}")
+                     for path in star_files]
         if len(star_list) > moore.ISO_GUARD:
             raise GuardError(f"more than {moore.ISO_GUARD} stars")
     edges = moore.hasse(star_list, stars.star_le)
@@ -306,32 +285,40 @@ def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point with the documented exit-code contract."""
+    """Run one command line and map its outcome to the exit-code contract."""
+    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        cli.main(args=list(argv) if argv is not None else None,
-                 standalone_mode=False)
-    except VerifyFailure:
-        return EXIT_ASSERTION
+        with cli.make_context("dedstar", args) as ctx:
+            cli.invoke(ctx)
+    except click.exceptions.Exit as exc:  # --help, or a failed verify suite
+        return exc.exit_code
     except GuardError as exc:
         click.echo(f"refused: {exc}", err=True)
         return EXIT_GUARD
-    except click.UsageError as exc:
-        click.echo(f"input error: {exc.format_message()}", err=True)
-        return EXIT_INPUT
-    except (InputError, extvec.SpectrumError, extvec.ZeroModuleError,
-            extvec.ExtOverflowError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        return EXIT_INPUT
+    except BrokenPipeError:  # the reader of stdout has gone; nobody to tell
+        return EXIT_IO
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         return EXIT_IO
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+    except click.UsageError as exc:
+        click.echo(f"input error: {exc.format_message()}", err=True)
+        return EXIT_INPUT
+    except (ValueError, extvec.ExtOverflowError) as exc:
+        click.echo(f"input error: {exc}", err=True)
+        return EXIT_INPUT
     return EXIT_OK
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at /dev/null, so that
+        # the flush neither fails nor writes to stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ as an independent oracle for the vector-level operations in
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
@@ -20,6 +21,11 @@ Rational = Union[int, Fraction]
 
 #: Largest prime a spec accepts: trial division stays below 2^16 divisions.
 PRIME_GUARD = 2 ** 32
+#: Most digits a parsed numerator or denominator may have; larger ones make
+#: ``Fraction`` and ``padic_val`` slow in the length of the text.
+RATIONAL_DIGIT_GUARD = 1000
+
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def is_prime(p: int) -> bool:
@@ -113,8 +119,10 @@ def colon_oracle(I: FracIdealSpec, J: FracIdealSpec) -> ValVector:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or an integer literal into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+    """Parse 'a/b' or an integer, each optionally signed, into an exact rational."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"bad rational {text!r}")
+    if max(map(len, match.groups(""))) > RATIONAL_DIGIT_GUARD:
+        raise GuardError(f"rational with more than {RATIONAL_DIGIT_GUARD} digits")
+    return Fraction(match[0])

@@ -221,4 +221,7 @@ def classify(star: Star) -> List[str]:
 
 
 def star_from_record(record: dict) -> Star:
-    return Star(tuple(record["primes"]), family_from_record(record["family"]))
+    primes = record["primes"]
+    if type(primes) is not list:  # a JSON string would read as its characters
+        raise TypeError(f"primes must be a list, not {primes!r}")
+    return Star(tuple(primes), family_from_record(record["family"]))

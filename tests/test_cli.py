@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +109,42 @@ class TestEnumerate:
         assert code == 3
 
 
+class TestClosedStdout:
+    """A reader that leaves early is an I/O error, not a failed verification."""
+
+    @pytest.mark.parametrize("argv", [("enumerate", "2"), ("count", "3"),
+                                      ("verify", "n2-shape")])
+    def test_in_process(self, capsys, monkeypatch, argv):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(list(argv)) == 3
+        assert capsys.readouterr().err == ""
+
+    # enumerate 4 overflows the pipe while running; count 3 fails only in the
+    # last flush, after main has returned.
+    @pytest.mark.parametrize("argv", [("enumerate", "4"), ("count", "3")])
+    def test_console_script(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dedstar.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == b""
+
+
 class TestVerify:
     def test_table1(self, capsys):
         code, out, _ = run(capsys, "verify", "table1", "--max-n", "4")
@@ -152,6 +191,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "oracles", "--trials", str(10 ** 20))
         assert code == 2 and out == ""
         assert "refused" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "5"),
+        ("bounds", "--seed", "0"),
+        ("finite-type", "--max-n", "3"),
+        ("n2-shape", "--max-n", "3", "--trials", "5", "--seed", "9"),
+        ("n2-shape", "2"),
+        ("oracles", "--max-n", "3"),
+        ("axioms", "3"),
+    ])
+    def test_unread_argument_refused(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 4 and out == ""
+        assert "does not read" in err and "Traceback" not in err
 
 
 class TestStar:
@@ -263,6 +316,19 @@ class TestStar:
         assert code == 4
         assert "UTF-8" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--family", "{n:2,members:[[0],[0,1]]}", "--module", "(inf,-inf)"),
+        ("v-of", "--module", "(-inf)"),
+        ("meet", "--family", "{n:2,members:[[0],[0,1]]}",
+         "--family", "{n:3,members:[[0,1,2]]}"),
+        ("d-of", "--n", "2", "--localized-at", "5"),
+        ("d-of", "--n", "2", "--localized-at", "a"),
+    ], ids=["apply-zero", "v-of-zero", "meet-spectra", "d-of-range", "d-of-token"])
+    def test_library_rejects_input(self, capsys, argv):
+        code, out, err = run(capsys, "star", *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("input error: ") and "Traceback" not in err
+
     def test_spectrum_mismatch(self, capsys):
         code, _, _ = run(
             capsys, "star", "apply",
@@ -303,6 +369,28 @@ class TestAdapter:
     def test_bad_rational(self, capsys):
         code, _, _ = run(capsys, "adapter", "--primes", "2,3", "--gens", "x")
         assert code == 4
+
+    def test_zero_member(self, capsys):
+        code, out, err = run(capsys, "adapter", "--primes", "2,3", "--gens", "1/2",
+                             "--member", "0")
+        assert code == 4 and out == ""
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("gens", ["1e3", "0.5", "1_000", "1e1000000"])
+    def test_only_fractions_and_integers(self, capsys, gens):
+        code, out, err = run(capsys, "adapter", "--primes", "2", "--gens", gens)
+        assert code == 4 and out == ""
+        assert "bad rational" in err
+
+    @pytest.mark.parametrize("options", [
+        ("--gens", "1" * 1001),
+        ("--gens", "1/" + "3" * 1001),
+        ("--gens", "1", "--member", "-" + "7" * 1001),
+    ], ids=["numerator", "denominator", "member"])
+    def test_digit_guard(self, capsys, options):
+        code, out, err = run(capsys, "adapter", "--primes", "2", *options)
+        assert code == 2 and out == ""
+        assert "refused" in err
 
 
 class TestHasse:
@@ -351,6 +439,20 @@ class TestHasse:
     def test_missing_source(self, capsys):
         code, _, _ = run(capsys, "hasse")
         assert code == 4
+
+    def test_size_and_star_file_refused(self, capsys, tmp_path):
+        """Refused before the file is read: a missing file would exit 3."""
+        code, out, err = run(capsys, "hasse", "2",
+                             "--star-file", str(tmp_path / "missing.json"))
+        assert code == 4 and out == ""
+        assert "Traceback" not in err
+
+    def test_star_file_primes_must_be_a_list(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"primes":"ab","family":{"n":2,"members":[[0,1]]}}')
+        code, out, err = run(capsys, "hasse", "--star-file", str(path))
+        assert code == 4 and out == ""
+        assert "primes must be a list" in err
 
 
 # Each command with its own options.  Spectrum sizes are small or refused by a

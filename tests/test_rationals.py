@@ -9,6 +9,7 @@ from dedstar.extvec import POS_INF, ValVector, one, vec_colon, vec_mul
 from dedstar.moore import GuardError
 from dedstar.rationals import (
     PRIME_GUARD,
+    RATIONAL_DIGIT_GUARD,
     FracIdealSpec,
     colon_oracle,
     is_prime,
@@ -137,3 +138,16 @@ def test_parse_rational():
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e3", "0.5", "1_000"])
+def test_parse_rational_takes_only_fractions_and_integers(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_digit_guard():
+    assert parse_rational(" +" + "9" * RATIONAL_DIGIT_GUARD + "/1 ") == 10 ** 1000 - 1
+    for text in ("1" * (RATIONAL_DIGIT_GUARD + 1), "1/" + "1" * (RATIONAL_DIGIT_GUARD + 1)):
+        with pytest.raises(GuardError):
+            parse_rational(text)

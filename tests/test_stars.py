@@ -367,3 +367,9 @@ class TestSerialization:
         assert star_from_record(record) == star_of(2, {0b01, 0b11}, P2)
         with pytest.raises(SpectrumError):
             star_from_record({"primes": [2], "family": record["family"]})
+
+    def test_primes_must_be_a_list(self):
+        """A JSON string is not read as its characters, the primes 'a' and 'b'."""
+        family = {"n": 2, "members": [[0, 1]]}
+        with pytest.raises(TypeError):
+            star_from_record({"primes": "ab", "family": family})
