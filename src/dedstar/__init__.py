@@ -1,21 +1,18 @@
 """Constructive lattice of semistar operations on a semilocal Dedekind domain."""
 
 from .extvec import (
-    NEG_INF,
     POS_INF,
     ZERO,
     ExtOverflowError,
     SpectrumError,
     ValVector,
     ZeroModuleError,
-    make_vector,
 )
 from .moore import GuardError, MooreFamily, count_moore, enumerate_moore
 from .rationals import FracIdealSpec
 from .stars import Star
 
 __all__ = [
-    "NEG_INF",
     "POS_INF",
     "ZERO",
     "ExtOverflowError",
@@ -28,7 +25,6 @@ __all__ = [
     "ZeroModuleError",
     "count_moore",
     "enumerate_moore",
-    "make_vector",
 ]
 
 __version__ = "0.1.0"

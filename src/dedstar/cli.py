@@ -75,23 +75,26 @@ def parse_family(text: str) -> MooreFamily:
 
 
 def parse_vector_inline(text: str):
-    """Parenthesized comma list with tokens integer|inf|-inf, over primes 0..k-1."""
+    """Parenthesized comma list with tokens integer|inf|-inf, over primes 0..k-1.
+
+    A ``-inf`` token reads as the zero module.
+    """
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
+    tokens = [token.strip() for token in body.split(",")]
     entries = []
-    for token in body.split(","):
-        token = token.strip()
+    for token in tokens:
         if token == "inf":
             entries.append(POS_INF)
-        elif token == "-inf":
-            entries.append(extvec.NEG_INF)
-        else:
+        elif token != "-inf":
             try:
                 entries.append(int(token))
             except ValueError as exc:
                 raise InputError(f"bad vector token {token!r}") from exc
-    return extvec.make_vector(tuple(range(len(entries))), entries)
+    if "-inf" in tokens:
+        return ZERO
+    return extvec.ValVector(tuple(range(len(entries))), tuple(entries))
 
 
 def format_vector(f) -> str:

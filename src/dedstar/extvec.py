@@ -1,10 +1,11 @@
-"""Extended integers and valuation vectors.
+"""Valuation vectors of the nonzero submodules of the quotient field.
 
 A nonzero submodule of the quotient field of a semilocal Dedekind domain is
 determined by the tuple of its negated valuations at the finitely many
-maximal ideals.  This module implements that model: entries live in the
-integers extended by +inf and -inf, a vector with no -inf entry represents a
-nonzero module, and the zero module is a separate canonical marker ``ZERO``.
+maximal ideals.  This module implements that model: an entry is a 64-bit
+integer or ``POS_INF``, and the zero module, which has no such vector, is
+the separate canonical marker ``ZERO``.  Each vector operation states its
+rule on entries directly; ``ext_le`` is the order on the integers with +inf.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ I64_MAX = 2 ** 63 - 1
 
 
 class ExtOverflowError(ArithmeticError):
-    """Finite extended-integer arithmetic left the 64-bit signed range."""
+    """A finite vector entry left the 64-bit signed range."""
 
 
 class SpectrumError(ValueError):
@@ -29,22 +30,15 @@ class ZeroModuleError(ValueError):
 
 
 class _Inf:
-    """Signed infinity sentinel; exactly two instances exist."""
+    """The +inf entry; a single instance exists."""
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int) -> None:
-        self.sign = sign
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return "POS_INF" if self.sign > 0 else "NEG_INF"
-
-    def __neg__(self) -> "_Inf":
-        return NEG_INF if self.sign > 0 else POS_INF
+        return "POS_INF"
 
 
-POS_INF = _Inf(1)
-NEG_INF = _Inf(-1)
+POS_INF = _Inf()
 
 ExtInt = Union[int, _Inf]
 
@@ -61,50 +55,17 @@ class _ZeroModule:
 ZERO = _ZeroModule()
 
 
-def _check_finite_range(value: int) -> int:
-    if not I64_MIN <= value <= I64_MAX:
-        raise ExtOverflowError(f"finite result {value} exceeds 64-bit range")
-    return value
-
-
-def ext_add(a: ExtInt, b: ExtInt) -> ExtInt:
-    """Extended addition: -inf annihilates, +inf absorbs everything else."""
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
-    if a is POS_INF or b is POS_INF:
-        return POS_INF
-    return _check_finite_range(a + b)
-
-
-def ext_neg(a: ExtInt) -> ExtInt:
-    """Negation; swaps the infinities."""
-    if isinstance(a, _Inf):
-        return -a
-    return _check_finite_range(-a)
-
-
 def ext_le(a: ExtInt, b: ExtInt) -> bool:
-    if a is NEG_INF or b is POS_INF:
-        return True
-    if a is POS_INF:
-        return b is POS_INF
-    if b is NEG_INF:
-        return False
-    return a <= b
-
-
-def ext_min(a: ExtInt, b: ExtInt) -> ExtInt:
-    return a if ext_le(a, b) else b
+    """The order on the integers with +inf on top."""
+    return b is POS_INF or (a is not POS_INF and a <= b)
 
 
 @dataclass(frozen=True)
 class ValVector:
     """Valuation vector of a nonzero module over an ordered finite prime list.
 
-    Entry i is the negated valuation at primes[i]; +inf entries mark primes
-    where the localization is the whole quotient field.  -inf entries are
-    rejected: vectors that would acquire one normalize to ``ZERO`` via
-    :func:`make_vector`.
+    Entry i is the negated valuation at primes[i], a 64-bit integer; +inf
+    entries mark primes where the localization is the whole quotient field.
     """
 
     primes: Tuple[Hashable, ...]
@@ -118,12 +79,8 @@ class ValVector:
         if len(self.entries) != len(self.primes):
             raise SpectrumError("entry count does not match prime count")
         for e in self.entries:
-            if e is NEG_INF:
-                raise SpectrumError(
-                    "-inf entry: construct via make_vector to normalize to ZERO"
-                )
-            if isinstance(e, int):
-                _check_finite_range(e)
+            if e is not POS_INF and not I64_MIN <= e <= I64_MAX:
+                raise ExtOverflowError(f"finite entry {e} exceeds 64-bit range")
 
     @property
     def n(self) -> int:
@@ -131,13 +88,6 @@ class ValVector:
 
 
 ModuleVector = Union[ValVector, _ZeroModule]
-
-
-def make_vector(primes: Sequence[Hashable], entries: Sequence[ExtInt]) -> ModuleVector:
-    """Build a vector, normalizing any -inf entry to the canonical ZERO."""
-    if any(e is NEG_INF for e in entries):
-        return ZERO
-    return ValVector(tuple(primes), tuple(entries))
 
 
 def top(primes: Sequence[Hashable]) -> ValVector:
@@ -165,11 +115,14 @@ def _same_spectrum(f: ValVector, g: ValVector) -> None:
 
 
 def vec_mul(f: ModuleVector, g: ModuleVector) -> ModuleVector:
-    """Module product: pointwise extended addition of exponent vectors."""
+    """Module product: entry +inf where either entry is +inf, else a + b."""
     if f is ZERO or g is ZERO:
         return ZERO
     _same_spectrum(f, g)
-    return make_vector(f.primes, tuple(ext_add(a, b) for a, b in zip(f.entries, g.entries)))
+    return ValVector(f.primes, tuple(
+        POS_INF if a is POS_INF or b is POS_INF else a + b
+        for a, b in zip(f.entries, g.entries)
+    ))
 
 
 def vec_inf(fs: Iterable[ValVector], primes: Sequence[Hashable]) -> ValVector:
@@ -179,7 +132,7 @@ def vec_inf(fs: Iterable[ValVector], primes: Sequence[Hashable]) -> ValVector:
         _same_spectrum(result, f)
         result = ValVector(
             result.primes,
-            tuple(ext_min(a, b) for a, b in zip(result.entries, f.entries)),
+            tuple(a if ext_le(a, b) else b for a, b in zip(result.entries, f.entries)),
         )
     return result
 
@@ -191,12 +144,16 @@ def vec_le(f: ValVector, g: ValVector) -> bool:
 
 
 def vec_colon(f: ValVector, g: ValVector) -> ModuleVector:
-    """Set-theoretic colon of modules: entrywise -(-f+g); ZERO if it vanishes."""
+    """Set-theoretic colon of modules: entry +inf where a is +inf, else a - b.
+
+    The colon vanishes, giving ``ZERO``, when some entry has b = +inf and a
+    finite, whatever the other entries are.
+    """
     _same_spectrum(f, g)
-    return make_vector(
-        f.primes,
-        tuple(ext_neg(ext_add(ext_neg(a), b)) for a, b in zip(f.entries, g.entries)),
-    )
+    pairs = tuple(zip(f.entries, g.entries))
+    if any(b is POS_INF and a is not POS_INF for a, b in pairs):
+        return ZERO
+    return ValVector(f.primes, tuple(a if a is POS_INF else a - b for a, b in pairs))
 
 
 def inf_support(f: ValVector) -> FrozenSet[int]:

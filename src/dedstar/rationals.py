@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .extvec import ValVector, ext_le, ext_neg
-from .moore import GuardError
+from .extvec import POS_INF, ValVector
+from .moore import GROUND_SET_GUARD, GuardError
 
 Rational = Union[int, Fraction]
 
@@ -47,6 +47,8 @@ class FracIdealSpec:
     def __post_init__(self) -> None:
         if not self.primes:
             raise ValueError("prime list must be nonempty")
+        if len(self.primes) > GROUND_SET_GUARD:
+            raise GuardError(f"more than {GROUND_SET_GUARD} primes")
         if any(p > PRIME_GUARD for p in self.primes):
             raise GuardError(f"primes above {PRIME_GUARD}")
         if not all(map(is_prime, self.primes)):
@@ -90,15 +92,14 @@ def vector_of_module(spec: FracIdealSpec) -> ValVector:
 
 
 def module_member(f: ValVector, r: Rational) -> bool:
-    """Is the nonzero rational r in the module with vector f?"""
+    """Is the nonzero rational r in the module with vector f?
+
+    It is when each entry e is +inf or satisfies -e <= v_p(r).
+    """
     r = Fraction(r)
     if r == 0:
         raise ValueError("membership test is for nonzero elements")
-    for i, p in enumerate(f.primes):
-        e = f.entries[i]
-        if not ext_le(ext_neg(e), padic_val(r, p)):
-            return False
-    return True
+    return all(e is POS_INF or -e <= padic_val(r, p) for p, e in zip(f.primes, f.entries))
 
 
 def colon_oracle(I: FracIdealSpec, J: FracIdealSpec) -> ValVector:

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedstar import moore
-from dedstar.cli import SUITES, main
+from dedstar.cli import SUITES, InputError, main, parse_vector_inline
+from dedstar.extvec import ZERO
 from dedstar.moore import is_moore, family_from_record
+from dedstar.rationals import is_prime
 
 
 def run(capsys, *argv):
@@ -329,6 +331,15 @@ class TestStar:
         assert code == 4 and out == ""
         assert err.startswith("input error: ") and "Traceback" not in err
 
+    def test_minus_inf_token_reads_as_zero(self, capsys):
+        for text in ("(1,-inf)", "(-inf)", "(-inf,99999999999999999999)"):
+            assert parse_vector_inline(text) is ZERO
+        with pytest.raises(InputError):
+            parse_vector_inline("(-inf,x)")
+        code, out, err = run(capsys, "star", "v-of", "--module", "(inf,-inf)")
+        assert code == 4 and out == ""
+        assert err == "input error: semistar operations act on nonzero modules only\n"
+
     def test_spectrum_mismatch(self, capsys):
         code, _, _ = run(
             capsys, "star", "apply",
@@ -361,6 +372,12 @@ class TestAdapter:
         code, out, err = run(capsys, "adapter", "--primes", primes, "--gens", "1/2")
         assert code == 4 and out == ""
         assert "Traceback" not in err
+
+    def test_prime_count_refused(self, capsys):
+        primes = ",".join(str(p) for p in range(2, 400) if is_prime(p))
+        assert primes.count(",") + 1 > moore.GROUND_SET_GUARD
+        code, out, err = run(capsys, "adapter", "--primes", primes, "--gens", "1/2")
+        assert code == 2 and out == "" and err.startswith("refused: ")
 
     def test_huge_prime_refused(self, capsys):
         code, _, err = run(capsys, "adapter", "--primes", str(2 ** 61 - 1), "--gens", "1")

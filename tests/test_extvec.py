@@ -6,19 +6,16 @@ from hypothesis import given, strategies as st
 from conftest import preceq
 
 from dedstar.extvec import (
-    NEG_INF,
     POS_INF,
     ZERO,
     ExtOverflowError,
     I64_MAX,
+    I64_MIN,
     SpectrumError,
     ValVector,
-    ext_add,
     ext_le,
-    ext_neg,
     inf_support,
     iota,
-    make_vector,
     one,
     scale,
     top,
@@ -28,9 +25,9 @@ from dedstar.extvec import (
     vec_mul,
 )
 
-SMALL = [NEG_INF, -2, -1, 0, 1, 2, POS_INF]
-
-ext_ints = st.one_of(st.integers(-50, 50), st.just(POS_INF), st.just(NEG_INF))
+SMALL = [-2, -1, 0, 1, 2, POS_INF]
+#: SMALL plus the 64-bit edges, where a sum or a difference leaves the range.
+EDGE = SMALL + [I64_MIN, I64_MAX]
 
 
 def vectors(n=2, allow_inf=True):
@@ -39,60 +36,79 @@ def vectors(n=2, allow_inf=True):
     return st.tuples(*[entry] * n).map(lambda e: ValVector(tuple(range(n)), e))
 
 
+def single(a):
+    return ValVector((2,), (a,))
+
+
+def outcome(op, a, b):
+    """op on one-entry vectors, as None for +inf, 'ZERO' or 'overflow'."""
+    try:
+        result = op(single(a), single(b))
+    except ExtOverflowError:
+        return "overflow"
+    if result is ZERO:
+        return "ZERO"
+    return None if result.entries[0] is POS_INF else result.entries[0]
+
+
+def in_range(v):
+    return "overflow" if isinstance(v, int) and not I64_MIN <= v <= I64_MAX else v
+
+
 class TestExtInt:
-    def test_annihilator_convention(self):
-        assert ext_add(POS_INF, NEG_INF) is NEG_INF
-        assert ext_add(NEG_INF, POS_INF) is NEG_INF
-
     def test_inf_absorbs_finite(self):
-        assert ext_add(3, POS_INF) is POS_INF
-        assert ext_add(POS_INF, 3) is POS_INF
-        assert ext_add(2, 3) == 5
-
-    def test_neg_inf_absorbs_everything(self):
-        for a in SMALL:
-            assert ext_add(a, NEG_INF) is NEG_INF
-            assert ext_add(NEG_INF, a) is NEG_INF
+        assert vec_mul(single(3), single(POS_INF)) == single(POS_INF)
+        assert vec_mul(single(POS_INF), single(3)) == single(POS_INF)
+        assert vec_mul(single(2), single(3)) == single(5)
 
     def test_commutative_associative_exhaustive(self):
         for a, b in itertools.product(SMALL, repeat=2):
-            assert ext_add(a, b) == ext_add(b, a)
+            assert vec_mul(single(a), single(b)) == vec_mul(single(b), single(a))
         for a, b, c in itertools.product(SMALL, repeat=3):
-            assert ext_add(ext_add(a, b), c) == ext_add(a, ext_add(b, c))
-
-    def test_neg(self):
-        assert ext_neg(POS_INF) is NEG_INF
-        assert ext_neg(NEG_INF) is POS_INF
-        assert ext_neg(-7) == 7
-
-    @given(ext_ints)
-    def test_neg_involution(self, a):
-        assert ext_neg(ext_neg(a)) == a
+            f, g, h = single(a), single(b), single(c)
+            assert vec_mul(vec_mul(f, g), h) == vec_mul(f, vec_mul(g, h))
 
     def test_total_order(self):
         for a in SMALL:
-            assert ext_le(NEG_INF, a)
             assert ext_le(a, POS_INF)
+        for a, b in itertools.product(SMALL, repeat=2):
+            assert ext_le(a, b) or ext_le(b, a)
+            if ext_le(a, b) and ext_le(b, a):
+                assert a == b
         assert not ext_le(POS_INF, 5)
-        assert not ext_le(0, NEG_INF)
-        assert ext_le(-1, 0)
+        assert ext_le(-1, 0) and not ext_le(0, -1)
+
+    def test_entry_rules_exhaustive(self):
+        """Each vector operation against its entry rule, with None for +inf."""
+        for a, b in itertools.product(EDGE, repeat=2):
+            x = None if a is POS_INF else a
+            y = None if b is POS_INF else b
+            le = y is None or (x is not None and x <= y)
+            assert vec_le(single(a), single(b)) == le
+            assert outcome(lambda f, g: vec_inf([f, g], (2,)), a, b) == (x if le else y)
+            product = None if x is None or y is None else x + y
+            assert outcome(vec_mul, a, b) == in_range(product)
+            if x is None:
+                colon = None
+            elif y is None:
+                colon = "ZERO"
+            else:
+                colon = x - y
+            assert outcome(vec_colon, a, b) == in_range(colon)
 
     def test_overflow_is_an_error(self):
+        for op, a, b in [(vec_mul, I64_MAX, 1), (vec_mul, I64_MIN, -1),
+                         (vec_colon, I64_MAX, -1), (vec_colon, I64_MIN, 1)]:
+            with pytest.raises(ExtOverflowError):
+                op(single(a), single(b))
         with pytest.raises(ExtOverflowError):
-            ext_add(I64_MAX, 1)
-        with pytest.raises(ExtOverflowError):
-            ext_add(-(2 ** 63), -1)
+            single(I64_MAX + 1)
 
 
 class TestVectorBasics:
     def test_empty_spectrum_rejected(self):
         with pytest.raises(SpectrumError):
             ValVector((), ())
-
-    def test_neg_inf_normalizes_to_zero(self):
-        assert make_vector((2, 3), (NEG_INF, 0)) is ZERO
-        with pytest.raises(SpectrumError):
-            ValVector((2, 3), (NEG_INF, 0))
 
     def test_mul_examples(self):
         p = (2, 3)
@@ -147,6 +163,15 @@ class TestColon:
     @given(vectors())
     def test_colon_by_ring_is_identity(self, f):
         assert vec_colon(f, one(f.primes)) == f
+
+    def test_colon_by_ring_at_i64_min(self):
+        f = ValVector((2, 3), (I64_MIN, 0))
+        assert vec_colon(f, one(f.primes)) == f
+
+    def test_vanishing_colon_wins_over_overflow(self):
+        # the first entry alone would leave the 64-bit range
+        p = (2, 3)
+        assert vec_colon(ValVector(p, (I64_MAX, 0)), ValVector(p, (-1, POS_INF))) is ZERO
 
     @given(vectors(allow_inf=False), vectors(allow_inf=False))
     def test_colon_is_largest_multiplier(self, f, g):

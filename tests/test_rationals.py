@@ -5,8 +5,9 @@ import pytest
 
 from conftest import product_spec
 
-from dedstar.extvec import POS_INF, ValVector, one, vec_colon, vec_mul
-from dedstar.moore import GuardError
+from dedstar import rationals
+from dedstar.extvec import I64_MIN, POS_INF, ValVector, one, vec_colon, vec_mul
+from dedstar.moore import GROUND_SET_GUARD, GuardError
 from dedstar.rationals import (
     PRIME_GUARD,
     RATIONAL_DIGIT_GUARD,
@@ -63,6 +64,17 @@ class TestVectorOfModule:
         with pytest.raises(GuardError):
             FracIdealSpec.of((PRIME_GUARD + 15,), [1])
 
+    def test_prime_count_guard(self, monkeypatch):
+        primes = [p for p in range(2, 400) if is_prime(p)][:GROUND_SET_GUARD + 1]
+        assert len(FracIdealSpec.of(primes[:-1], [1]).primes) == GROUND_SET_GUARD
+
+        def no_trial_division(p):
+            raise AssertionError("is_prime ran before the prime-count guard")
+
+        monkeypatch.setattr(rationals, "is_prime", no_trial_division)
+        with pytest.raises(GuardError):
+            FracIdealSpec.of(primes, [1])
+
     def test_is_prime_matches_sieve(self):
         sieve = [True] * 1000
         sieve[0] = sieve[1] = False
@@ -85,6 +97,10 @@ class TestMembership:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             module_member(one((2, 3)), 0)
+
+    def test_i64_min_entry(self):
+        # 1 is in the module only if v_2(1) = 0 >= 2^63
+        assert not module_member(ValVector((2, 3), (I64_MIN, 0)), 1)
 
     def test_generators_are_members(self):
         rng = random.Random(7)
