@@ -23,6 +23,9 @@ ISO_GUARD = 200
 #: Largest ground set a family record or an overring star may have: far past
 #: what can be enumerated, and every subset encoding fits in 64 bits.
 GROUND_SET_GUARD = 64
+#: Most members a generated family may reach: folding k subsets can build 2^k
+#: members, each validated pairwise.
+FOLD_GUARD = 2 ** 12
 
 
 class GuardError(RuntimeError):
@@ -75,6 +78,7 @@ class MooreFamily:
     members: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        guard_ground_set(self.n)  # before is_moore builds 1 << n
         if self.n < 1:
             raise ValueError("ground set must be nonempty (n >= 1)")
         if len(set(self.members)) != len(self.members):
@@ -103,11 +107,14 @@ def _fold_closed(n: int, closed: Iterable[int], subsets: Iterable[int]) -> Moore
     """Smallest family holding the subsets and ``closed``, an
     intersection-closed set with the full set.  Each s is folded in as
     closed | {s & m : m in closed}, which stays intersection-closed and holds
-    s as s & full."""
+    s as s & full.  A fold at most doubles the set, so checking after each one
+    keeps it below twice ``FOLD_GUARD``."""
     members = set(closed)
     for s in subsets:
         if s not in members:
             members |= {s & m for m in members}
+            if len(members) > FOLD_GUARD:
+                raise GuardError(f"generated family exceeds {FOLD_GUARD} members")
     return MooreFamily(n, tuple(sorted(members)))
 
 
@@ -242,14 +249,13 @@ def enumerate_record_texts(n: int) -> Iterator[str]:
 def is_principal_upfilter(family: MooreFamily) -> Tuple[bool, Optional[int]]:
     """Is the family exactly all supersets of its minimum member?"""
     # The least member is the meet of all members, a member itself, and a
-    # subset of every member, so it comes first in ascending order.
+    # subset of every member, so it comes first in ascending order; the
+    # family holds only supersets of it, and is all of them iff it has as many.
     base = family.members[0]
     expected = 2 ** (family.n - bin(base).count("1"))
     if len(family.members) != expected:
         return (False, None)
-    if all(m & base == base for m in family.members):
-        return (True, base)
-    return (False, None)
+    return (True, base)
 
 
 def binom_lower_bound(n: int) -> int:
@@ -290,7 +296,7 @@ def family_from_record(record: dict) -> MooreFamily:
     # bool is an int subclass: without these checks JSON true reads as 1
     if type(n) is not int:
         raise TypeError(f"n must be an integer, not {n!r}")
-    guard_ground_set(n)
+    guard_ground_set(n)  # before mask_of builds 1 << i for an index up to n - 1
     rows = record["members"]
     if any(type(i) is not int for row in rows for i in row):
         raise TypeError("member indices must be integers")

@@ -200,7 +200,18 @@ def is_finite_type(star: Star) -> bool:
 
 
 def classify(star: Star) -> List[str]:
-    """Human-readable labels for reporting."""
+    """Human-readable labels for reporting, by the star's support family F:
+
+    - ``identity``: F is every subset;
+    - ``trivial-extension``: F is only the full set (the star sends every
+      module to the quotient field);
+    - ``finite-type``: F is a principal up-filter, all supersets of one base;
+    - ``divisorially-generated``: F has 2 or 3 members and the star is not the
+      identity.  This counts members only: it does not say that the star is
+      ``v_of(J)`` for some J;
+    - ``overring-induced X={...}``: with ``finite-type``; the star is
+      ``d_of_overring`` localized at X, the primes outside the base.
+    """
     labels = []
     n = star.n
     is_identity = len(star.family.members) == 1 << n

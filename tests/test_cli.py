@@ -23,9 +23,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_console(argv, stdout=subprocess.PIPE, timeout=120):
+    """``python -m dedstar.cli`` as a real process, this checkout's ``src`` first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "dedstar.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=timeout)
+
+
+#: The 78 primes below 400: more than ``moore.GROUND_SET_GUARD``.
+PRIMES_BELOW_400 = ",".join(str(p) for p in range(2, 400) if is_prime(p))
+
+
 class TestCount:
     def test_small_counts(self, capsys):
-        for n, expected in ((1, "2"), (2, "7"), (3, "61"), (4, "2480")):
+        for n, expected in ((1, "2"), (2, "7"), (3, "61"), (4, "2480"),
+                            (5, "1385552")):
             code, out, _ = run(capsys, "count", str(n))
             assert code == 0 and out.strip() == expected
 
@@ -61,14 +76,15 @@ class TestCount:
 
 class TestEnumerate:
     def test_records_reparse(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "2")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 7
-        for line in lines:
-            record = json.loads(line)
-            fam = family_from_record(record)
-            assert is_moore(fam.members, 2)
+        for n, count in ((2, 7), (4, 2480)):
+            code, out, _ = run(capsys, "enumerate", str(n))
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert len(lines) == count
+            for line in lines:
+                record = json.loads(line)
+                fam = family_from_record(record)
+                assert is_moore(fam.members, n)
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "enumerate", "3")
@@ -134,17 +150,29 @@ class TestClosedStdout:
     def test_console_script(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         try:
-            proc = subprocess.run([sys.executable, "-m", "dedstar.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  env=env, timeout=120)
+            proc = run_console(argv, stdout=write_end)
         finally:
             os.close(write_end)
         assert proc.returncode == 3
         assert proc.stderr == b""
+
+
+class TestConsoleScript:
+    """What needs a real process: the bytes of a real stdout, a wall-clock bound."""
+
+    @pytest.mark.parametrize("argv,code,stdout_sha256", [
+        (("enumerate", "3"), 0,
+         "dca47528c78374b1bce5bca5886edfaf33ec9e35d721a2b83b824d0d8ee57a57"),
+        (("adapter", "--primes", "2", "--gens", "1e1000000"), 4,
+         hashlib.sha256(b"").hexdigest()),
+        (("adapter", "--primes", PRIMES_BELOW_400, "--gens", "1/2"), 2,
+         hashlib.sha256(b"").hexdigest()),
+    ], ids=["enumerate-3", "adapter-exponent", "adapter-prime-count"])
+    def test_real_stdout_within_10s(self, argv, code, stdout_sha256):
+        proc = run_console(argv, timeout=10)
+        assert proc.returncode == code
+        assert hashlib.sha256(proc.stdout).hexdigest() == stdout_sha256
 
 
 class TestVerify:
@@ -262,6 +290,11 @@ class TestStar:
         ("star", "d-of", "--n", str(2 ** 70)),
         ("star", "classify", "--family", "{n:%d,members:[[0]]}" % 2 ** 70),
         ("star", "meet", "--family", "{n:100000000000,members:[[0]]}"),
+        # the meet of the 16 coatom families {all but i, all} has 2^16 members
+        ("star", "meet", *(arg for i in range(16) for arg in (
+            "--family", json.dumps({"n": 16, "members": [
+                [j for j in range(16) if j != i], list(range(16))]})))),
+        ("star", "v-of", "--module", "(%s)" % ",".join(["0"] * 65)),
     ])
     def test_size_guards(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -374,9 +407,9 @@ class TestAdapter:
         assert "Traceback" not in err
 
     def test_prime_count_refused(self, capsys):
-        primes = ",".join(str(p) for p in range(2, 400) if is_prime(p))
-        assert primes.count(",") + 1 > moore.GROUND_SET_GUARD
-        code, out, err = run(capsys, "adapter", "--primes", primes, "--gens", "1/2")
+        assert PRIMES_BELOW_400.count(",") + 1 > moore.GROUND_SET_GUARD
+        code, out, err = run(capsys, "adapter", "--primes", PRIMES_BELOW_400,
+                             "--gens", "1/2")
         assert code == 2 and out == "" and err.startswith("refused: ")
 
     def test_huge_prime_refused(self, capsys):
