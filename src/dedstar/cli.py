@@ -39,14 +39,15 @@ _BARE_KEY = re.compile(r'([{\s,])([A-Za-z_]\w*)\s*:')
 
 
 def _lenient_json(text: str) -> dict:
-    """JSON with optional bare keys, e.g. {n:2,members:[[0],[0,1]]}."""
+    """JSON with optional bare keys, e.g. {n:2,members:[[0],[0,1]]}.  Either
+    parse may recurse past Python's limit on nesting: a bare-key record fails
+    the first at once and nests only in the second."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        pass
-    try:
-        return json.loads(_BARE_KEY.sub(r'\1"\2":', text))
-    except json.JSONDecodeError as exc:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            return json.loads(_BARE_KEY.sub(r'\1"\2":', text))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot parse record {text!r}: {exc}") from exc
 
 

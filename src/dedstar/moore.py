@@ -103,28 +103,24 @@ class MooreFamily:
         return family
 
 
-def _fold_closed(n: int, closed: Iterable[int], subsets: Iterable[int]) -> MooreFamily:
-    """Smallest family holding the subsets and ``closed``, an
-    intersection-closed set with the full set.  Each s is folded in as
-    closed | {s & m : m in closed}, which stays intersection-closed and holds
-    s as s & full.  A fold at most doubles the set, so checking after each one
-    keeps it below twice ``FOLD_GUARD``."""
-    members = set(closed)
+def moore_generate(subsets: Iterable[int], n: int) -> MooreFamily:
+    """Smallest intersection-closed family containing the subsets: each s, in
+    descending order, is folded into {full} as members | {s & m : m in members}.
+    As s & t <= min(s, t), s & t comes up after s and t, and is skipped as
+    present.  Every set on the way lies inside the closure and a fold at most
+    doubles it, so checking ``FOLD_GUARD`` after each fold refuses exactly the
+    larger closures and keeps the set below twice it.  Validated once."""
+    full = (1 << n) - 1
+    subsets = sorted(set(subsets), reverse=True)
+    if subsets and not (subsets[0] <= full and subsets[-1] >= 0):
+        raise ValueError("subset out of range")
+    members = {full}
     for s in subsets:
         if s not in members:
             members |= {s & m for m in members}
             if len(members) > FOLD_GUARD:
                 raise GuardError(f"generated family exceeds {FOLD_GUARD} members")
     return MooreFamily(n, tuple(sorted(members)))
-
-
-def moore_generate(subsets: Iterable[int], n: int) -> MooreFamily:
-    """Smallest intersection-closed family containing the input subsets."""
-    full = (1 << n) - 1
-    subsets = set(subsets)
-    if any(not 0 <= s <= full for s in subsets):
-        raise ValueError("subset out of range")
-    return _fold_closed(n, (full,), subsets)
 
 
 def closure(family: MooreFamily, mask: int) -> int:
@@ -138,19 +134,21 @@ def closure(family: MooreFamily, mask: int) -> int:
     return result
 
 
-def family_meet(f1: MooreFamily, f2: MooreFamily) -> MooreFamily:
-    """Member-set intersection; intersection-closure is inherited."""
-    if f1.n != f2.n:
+def family_meet(first: MooreFamily, *rest: MooreFamily) -> MooreFamily:
+    """Members common to every family, intersected at once; intersection
+    closure is inherited, and the result is validated once."""
+    if any(f.n != first.n for f in rest):
         raise ValueError("ground sets differ")
-    common = set(f1.members) & set(f2.members)
-    return MooreFamily(f1.n, tuple(sorted(common)))
+    common = set(first.members).intersection(*(f.members for f in rest))
+    return MooreFamily(first.n, tuple(sorted(common)))
 
 
-def family_join(f1: MooreFamily, f2: MooreFamily) -> MooreFamily:
-    """Smallest family containing both: fold f2's members into f1's."""
-    if f1.n != f2.n:
+def family_join(first: MooreFamily, *rest: MooreFamily) -> MooreFamily:
+    """Smallest family containing every family: ``moore_generate`` over the
+    union of their members."""
+    if any(f.n != first.n for f in rest):
         raise ValueError("ground sets differ")
-    return _fold_closed(f1.n, f1.members, f2.members)
+    return moore_generate(set(first.members).union(*(f.members for f in rest)), first.n)
 
 
 def _searchable_full_set(n: int) -> int:

@@ -8,7 +8,6 @@ family-closure of its +inf support.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Sequence, Tuple
 
@@ -106,12 +105,12 @@ def star_le(s1: Star, s2: Star) -> bool:
 
 
 def _combine(stars: Sequence[Star], family_op: Callable, what: str) -> Star:
-    """Reduce the stars' families with family_op over one shared spectrum."""
+    """family_op over every star's family at once, on one shared spectrum."""
     if not stars:
         raise ValueError(f"{what} of no stars is undefined")
     if any(s.primes != stars[0].primes for s in stars):
         raise SpectrumError("spectra differ")
-    return Star(stars[0].primes, functools.reduce(family_op, (s.family for s in stars)))
+    return Star(stars[0].primes, family_op(*(s.family for s in stars)))
 
 
 def star_meet(stars: Sequence[Star]) -> Star:

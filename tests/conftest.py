@@ -10,6 +10,18 @@ from dedstar.rationals import FracIdealSpec
 from dedstar.stars import apply
 
 
+def pairwise_closure(subsets, n):
+    """The subsets and the full set, closed by adding pairwise intersections
+    until none is new: the definition of the generated family, as a sorted
+    tuple."""
+    family = set(subsets) | {(1 << n) - 1}
+    while True:
+        grown = family | {a & b for a in family for b in family}
+        if grown == family:
+            return tuple(sorted(family))
+        family = grown
+
+
 def windowed_vectors(primes, bound):
     """Every vector with entries in {-bound..bound, +inf}."""
     values = list(range(-bound, bound + 1)) + [POS_INF]

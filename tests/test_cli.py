@@ -33,6 +33,13 @@ def run_console(argv, stdout=subprocess.PIPE, timeout=120):
                           timeout=timeout)
 
 
+#: Deeper than Python's recursion limit, even as Hypothesis raises it while
+#: its tests run.
+DEEP = 100000
+DEEP_RECORD = "{n:2,members:" + "[" * DEEP + "]" * DEEP + "}"
+DEEP_LIST = "[" * DEEP + "]" * DEEP
+
+
 #: The 78 primes below 400: more than ``moore.GROUND_SET_GUARD``.
 PRIMES_BELOW_400 = ",".join(str(p) for p in range(2, 400) if is_prime(p))
 
@@ -301,6 +308,17 @@ class TestStar:
         assert code == 2 and out == ""
         assert "refused" in err and "Traceback" not in err
 
+    def test_deeply_nested_record_rejected(self, capsys, tmp_path):
+        """The bare-key record fails the first JSON parse at once and recurses
+        only in the second; the star file recurses in the first."""
+        path = tmp_path / "s.json"
+        path.write_text(DEEP_LIST)
+        for argv in (("star", "classify", "--family", DEEP_RECORD),
+                     ("hasse", "--star-file", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert code == 4 and out == ""
+            assert err.startswith("input error: ") and "Traceback" not in err
+
     def test_malformed_family(self, capsys):
         code, _, err = run(capsys, "star", "classify", "--family", "{oops")
         assert code == 4
@@ -533,7 +551,7 @@ OPTION_VALUES = {
     "--family": ["{n:2,members:[[0],[0,1]]}", "{n:2,members:[[1],[0,1]]}",
                  "{n:1,members:[[0],[0]]}", "{n:2,members:[[0],[1],[0,1]]}",
                  "{oops", "[1]", '{n:"x",members:[]}', "{n:2,members:[[0.5]]}",
-                 "{n:3,members:[[0,1,2]]}", "@no-such-dir/f"],
+                 "{n:3,members:[[0,1,2]]}", "@no-such-dir/f", DEEP_RECORD, DEEP_LIST],
     "--module": ["(0,0)", "(inf,0)", "(inf,-inf)", "()", "(99999999999999999999)",
                  "(x)"],
     "--localized-at": ["0", "0,1", "5", "-1", "a"],
@@ -568,4 +586,5 @@ def test_fuzzed_command_lines_keep_the_exit_code_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4)
+    assert code != 1 or argv[0] == "verify"  # exit 1 is a failed verification only
     assert "Traceback" not in err.getvalue()

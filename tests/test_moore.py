@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -5,6 +6,8 @@ import random
 import types
 
 import pytest
+
+from conftest import pairwise_closure
 
 from dedstar.moore import (
     GROUND_SET_GUARD,
@@ -62,6 +65,14 @@ class TestGenerate:
         for fam in enumerate_moore(3):
             assert moore_generate(set(fam.members), 3) == fam
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_pairwise_closure_on_every_input(self, n):
+        """Every set of subsets: 4, 16 and 256 inputs for n = 1, 2, 3."""
+        subsets = range(1 << n)
+        for choice in range(1 << (1 << n)):
+            chosen = [s for s in subsets if choice >> s & 1]
+            assert moore_generate(chosen, n).members == pairwise_closure(chosen, n)
+
 
 class TestClosure:
     def test_examples(self):
@@ -107,6 +118,22 @@ class TestMeetJoin:
         assert family_join(
             MooreFamily(2, (0b01, 0b11)), MooreFamily(2, (0b10, 0b11))
         ).members == (0b00, 0b01, 0b10, 0b11)
+        assert family_join(fam) == fam and family_meet(fam) == fam
+        for op in (family_join, family_meet):
+            with pytest.raises(ValueError, match="ground sets differ"):
+                op(fam, fam, MooreFamily(3, (0b111,)))
+
+    def test_n_ary_equals_pairwise_fold_n3(self):
+        """Seeded triples: one n-ary call equals the pairwise fold, in every
+        order of the arguments."""
+        rng = random.Random(12)
+        families = list(enumerate_moore(3))
+        for _ in range(300):
+            triple = rng.sample(families, 3)
+            for op in (family_join, family_meet):
+                expected = functools.reduce(op, triple)
+                for order in itertools.permutations(triple):
+                    assert op(*order) == expected
 
     def test_lattice_axioms_all_pairs_n3(self):
         families = list(enumerate_moore(3))

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import dagger_bounded_oracle, finite_type_by_truncation, windowed_vectors
 
+from dedstar import moore
 from dedstar.extvec import (
     POS_INF,
     ZERO,
@@ -243,6 +244,39 @@ class TestMeetJoin:
             star_meet([])
         with pytest.raises(ValueError):
             star_join([])
+
+    @staticmethod
+    def _count_validations(monkeypatch):
+        """Record each ``moore.is_moore`` call, the check behind every
+        validated ``MooreFamily``."""
+        calls = []
+        is_moore = moore.is_moore
+
+        def counted(*args):
+            calls.append(args)
+            return is_moore(*args)
+
+        monkeypatch.setattr(moore, "is_moore", counted)
+        return calls
+
+    def test_each_result_validated_once(self, monkeypatch):
+        stars = [star_of(3, (1 << i, 0b111)) for i in range(3)]
+        calls = self._count_validations(monkeypatch)
+        assert star_meet(stars).family.members == (0b000, 0b001, 0b010, 0b100, 0b111)
+        assert len(calls) == 1
+        assert star_join(stars).family.members == (0b111,)
+        assert len(calls) == 2
+
+    def test_meet_refused_before_any_validation(self, monkeypatch):
+        """The meet of the 13 coatom stars {all but i, all} on 13 points has
+        2^13 members, past ``FOLD_GUARD``: one fold refuses it, where a
+        pairwise reduction would validate each intermediate join first."""
+        full = (1 << 13) - 1
+        stars = [star_of(13, (full ^ 1 << i, full)) for i in range(13)]
+        calls = self._count_validations(monkeypatch)
+        with pytest.raises(GuardError):
+            star_meet(stars)
+        assert calls == []
 
 
 class TestDivisorial:
