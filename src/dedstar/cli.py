@@ -288,6 +288,17 @@ def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
         click.echo(json.dumps(payload, separators=(",", ":")))
 
 
+#: Longest error message echoed whole: a message may quote its input, and a
+#: record file may be of any size.
+_MESSAGE_LIMIT = 200
+
+
+def _echo_error(label: str, message: str) -> None:
+    if len(message) > _MESSAGE_LIMIT:
+        message = f"{message[:_MESSAGE_LIMIT]}… ({len(message)} characters)"
+    click.echo(f"{label}: {message}", err=True)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line and map its outcome to the exit-code contract."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -297,18 +308,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except click.exceptions.Exit as exc:  # --help, or a failed verify suite
         return exc.exit_code
     except GuardError as exc:
-        click.echo(f"refused: {exc}", err=True)
+        _echo_error("refused", str(exc))
         return EXIT_GUARD
     except BrokenPipeError:  # the reader of stdout has gone; nobody to tell
         return EXIT_IO
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        _echo_error("i/o error", str(exc))
         return EXIT_IO
     except click.UsageError as exc:
-        click.echo(f"input error: {exc.format_message()}", err=True)
+        _echo_error("input error", exc.format_message())
         return EXIT_INPUT
     except (ValueError, extvec.ExtOverflowError) as exc:
-        click.echo(f"input error: {exc}", err=True)
+        _echo_error("input error", str(exc))
         return EXIT_INPUT
     return EXIT_OK
 

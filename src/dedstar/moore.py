@@ -192,31 +192,45 @@ def _closed_folds(full: int, start: _T, grow: Callable[[_T, int], _T]) -> Iterat
             yield fold
 
 
-def _completions(memo: Dict[int, int], width: int, present: int, cands: List[int]) -> int:
+def _completions(memo: Dict[int, int], meets: Dict[int, int], width: int,
+                 present: int, cands: List[int], mask: int) -> int:
     """Families at and below a state of ``_closed_folds``' search: a
     prefix (bit s of ``present`` set iff s is in it) and its ascending
-    candidates ``cands``.
+    candidates ``cands``, which are the bits of ``mask``.
 
-    Below the state, the search only asks whether d & c is present for
-    candidates c < d.  The answer is fixed by the candidates added on the way
-    and, for the rest, by the prefix members that are meets of two
-    candidates.  So ``memo`` is keyed on the candidates and those members,
-    each a bitmask over the ``width`` subsets.  A module-level function, not a
-    closure: a recursive closure is a reference cycle that keeps ``memo``
-    alive until the cycle collector runs.
+    Below the state, the search asks only whether d & c is present, for
+    candidates c < d: a child adds c and keeps each later d for which it is.
+    The answer is fixed by the candidates added on the way and, for the rest,
+    by the prefix members that are meets of two candidates.  So ``memo`` is
+    keyed on the candidates and those members, each a bitmask over the
+    ``width`` subsets; ``meets`` holds each candidate set's pairwise meets,
+    computed once.  A child with one candidate counts 2, itself and itself
+    plus that candidate, without a call.  A module-level function, not a
+    closure: a recursive closure is a reference cycle that keeps ``memo`` and
+    ``meets`` alive until the cycle collector runs.
     """
-    meets = 0
-    for i, d in enumerate(cands):
-        for e in cands[i + 1:]:
-            meets |= 1 << (d & e)
-    key = sum(1 << c for c in cands) << width | (meets & present)
+    relevant = meets.get(mask)
+    if relevant is None:
+        relevant = 0
+        for i, d in enumerate(cands):
+            for e in cands[i + 1:]:
+                relevant |= 1 << (d & e)
+        meets[mask] = relevant
+    key = mask << width | (relevant & present)
     total = memo.get(key)
     if total is None:
         total = 1
         for i, c in enumerate(cands):
             grown = present | 1 << c
-            rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
-            total += _completions(memo, width, grown, rest) if rest else 1
+            rest, rest_mask = [], 0
+            for d in cands[i + 1:]:
+                if grown >> (d & c) & 1:
+                    rest.append(d)
+                    rest_mask |= 1 << d
+            if len(rest) > 1:
+                total += _completions(memo, meets, width, grown, rest, rest_mask)
+            else:
+                total += 1 + len(rest)
         memo[key] = total
     return total
 
@@ -224,7 +238,7 @@ def _completions(memo: Dict[int, int], width: int, present: int, cands: List[int
 def count_moore(n: int) -> int:
     """Number of intersection-closed families on an n-element ground set."""
     full = _searchable_full_set(n)
-    return _completions({}, full + 1, 0, list(range(full)))
+    return _completions({}, {}, full + 1, 0, list(range(full)), (1 << full) - 1)
 
 
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:

@@ -319,6 +319,19 @@ class TestStar:
             assert code == 4 and out == ""
             assert err.startswith("input error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, prefix", [
+        ("[" * DEEP + "]" * (DEEP - 1), "input error: cannot parse record"),
+        (json.dumps({"n": "x" * 200000, "members": []}),
+         "input error: bad family record: n must be an integer"),
+    ], ids=["unparsable", "bad-n"])
+    def test_long_message_is_cut(self, capsys, tmp_path, text, prefix):
+        """A message that quotes a 200 000-character input echoes its start."""
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "star", "classify", "--family", f"@{path}")
+        assert code == 4 and out == ""
+        assert err.startswith(prefix) and len(err.encode()) <= 512
+
     def test_malformed_family(self, capsys):
         code, _, err = run(capsys, "star", "classify", "--family", "{oops")
         assert code == 4
@@ -588,3 +601,4 @@ def test_fuzzed_command_lines_keep_the_exit_code_contract(argv):
     assert code in (0, 1, 2, 3, 4)
     assert code != 1 or argv[0] == "verify"  # exit 1 is a failed verification only
     assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue()) <= 1024

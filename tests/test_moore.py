@@ -3,12 +3,14 @@ import gc
 import itertools
 import json
 import random
+import tracemalloc
 import types
 
 import pytest
 
 from conftest import pairwise_closure
 
+from dedstar import moore
 from dedstar.moore import (
     GROUND_SET_GUARD,
     GuardError,
@@ -184,6 +186,48 @@ class TestEnumeration:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_count_keeps_nothing_between_calls(self, monkeypatch):
+        """Each call's memo goes with it, so a repeated count is computed
+        again, not remembered: the second call builds as much as the first.
+        And the count never reads the table it is checked against."""
+        monkeypatch.setattr(moore, "KNOWN_COUNTS", None)
+        tracemalloc.start()
+        try:
+            built = []
+            for _ in range(2):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert count_moore(4) == 2480
+                after, peak = tracemalloc.get_traced_memory()
+                assert abs(after - before) <= 16 * 1024
+                built.append(peak - before)
+            assert built[1] >= 0.9 * built[0] > 16 * 1024
+        finally:
+            tracemalloc.stop()
+
+    def test_memo_key_is_sound(self):
+        """Every state the n = 4 search reaches, in search order, counted
+        through one memo shared by all of them, against a memo-free count of
+        its subtree: a key that confuses two states with different subtrees
+        returns the first one's count for the second."""
+        full = 15
+
+        def states(present, cands):
+            yield present, cands
+            for i, c in enumerate(cands):
+                grown = present | 1 << c
+                yield from states(grown, [d for d in cands[i + 1:]
+                                          if grown >> (d & c) & 1])
+
+        memo, meets = {}, {}
+        seen = 0
+        for present, cands in states(0, list(range(full))):
+            mask = sum(1 << c for c in cands)
+            assert (moore._completions(memo, meets, full + 1, present, cands, mask)
+                    == sum(1 for _ in states(present, cands)))
+            seen += 1
+        assert seen == KNOWN_COUNTS[4]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_matches_brute_force(self, n):
