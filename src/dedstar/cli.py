@@ -48,7 +48,7 @@ def _lenient_json(text: str) -> dict:
         except json.JSONDecodeError:
             return json.loads(_BARE_KEY.sub(r'\1"\2":', text))
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"cannot parse record {text!r}: {exc}") from exc
+        raise InputError(f"cannot parse record: {exc}: {text!r}") from exc
 
 
 def _load_text(source: str) -> str:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar)
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    TypeVar)
 
 _T = TypeVar("_T")
 
@@ -24,8 +25,11 @@ ISO_GUARD = 200
 #: what can be enumerated, and every subset encoding fits in 64 bits.
 GROUND_SET_GUARD = 64
 #: Most members a generated family may reach: folding k subsets can build 2^k
-#: members, each validated pairwise.
+#: members.
 FOLD_GUARD = 2 ** 12
+#: Most members a family record may have: 2^16, the largest family dedstar
+#: prints, ``star d-of`` localized at ``stars.D_OF_GUARD`` = 16 primes.
+RECORD_GUARD = 2 ** 16
 
 
 class GuardError(RuntimeError):
@@ -50,24 +54,33 @@ def indices_of(mask: int) -> List[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def is_moore(subsets: Iterable[int], n: int) -> bool:
-    """Full set present and closed under pairwise intersection.
-
-    Pairwise closure suffices for finite families; the empty intersection
-    convention is what forces the full set in.
-    """
+def _intersection_closure(subsets: Set[int], n: int, limit: int) -> Optional[Set[int]]:
+    """Smallest intersection-closed family on n points holding ``subsets``, or
+    None once it passes ``limit`` members.  Each s, in descending order, is
+    folded into {full} as members | {s & m : m in members}; as s & t <= min(s,
+    t), a meet comes up after both its sides and is skipped as present, so only
+    meet-irreducibles are folded.  Every set on the way lies inside the closure
+    and a fold at most doubles it, so the check after each fold refuses exactly
+    the larger closures and keeps the set below twice ``limit``."""
     full = (1 << n) - 1
-    members = set(subsets)
-    if any(not 0 <= s <= full for s in members):
+    ordered = sorted(subsets, reverse=True)
+    if ordered and not (ordered[0] <= full and ordered[-1] >= 0):
         raise ValueError("subset out of range")
-    if full not in members:
-        return False
-    as_list = sorted(members)
-    for i, a in enumerate(as_list):
-        for b in as_list[i + 1:]:
-            if a & b not in members:
-                return False
-    return True
+    members = {full}
+    for s in ordered:
+        if s not in members:
+            members |= {s & m for m in members}
+            if len(members) > limit:
+                return None
+    return members
+
+
+def is_moore(subsets: Iterable[int], n: int) -> bool:
+    """Full set present and closed under intersection: the subsets are their
+    own closure.  A set of m subsets that is not has a larger closure, so the
+    fold stops once it passes m members."""
+    members = set(subsets)
+    return _intersection_closure(members, n, len(members)) == members
 
 
 @dataclass(frozen=True)
@@ -104,22 +117,11 @@ class MooreFamily:
 
 
 def moore_generate(subsets: Iterable[int], n: int) -> MooreFamily:
-    """Smallest intersection-closed family containing the subsets: each s, in
-    descending order, is folded into {full} as members | {s & m : m in members}.
-    As s & t <= min(s, t), s & t comes up after s and t, and is skipped as
-    present.  Every set on the way lies inside the closure and a fold at most
-    doubles it, so checking ``FOLD_GUARD`` after each fold refuses exactly the
-    larger closures and keeps the set below twice it.  Validated once."""
-    full = (1 << n) - 1
-    subsets = sorted(set(subsets), reverse=True)
-    if subsets and not (subsets[0] <= full and subsets[-1] >= 0):
-        raise ValueError("subset out of range")
-    members = {full}
-    for s in subsets:
-        if s not in members:
-            members |= {s & m for m in members}
-            if len(members) > FOLD_GUARD:
-                raise GuardError(f"generated family exceeds {FOLD_GUARD} members")
+    """Smallest intersection-closed family containing the subsets, refused once
+    it passes ``FOLD_GUARD`` members.  Validated once."""
+    members = _intersection_closure(set(subsets), n, FOLD_GUARD)
+    if members is None:
+        raise GuardError(f"generated family exceeds {FOLD_GUARD} members")
     return MooreFamily(n, tuple(sorted(members)))
 
 
@@ -312,6 +314,8 @@ def family_from_record(record: dict) -> MooreFamily:
     rows = record["members"]
     if any(type(i) is not int for row in rows for i in row):
         raise TypeError("member indices must be integers")
+    if len(rows) > RECORD_GUARD:  # before mask_of and validation
+        raise GuardError(f"family record of {len(rows)} members exceeds {RECORD_GUARD}")
     return MooreFamily(n, tuple(sorted(mask_of(row, n) for row in rows)))
 
 

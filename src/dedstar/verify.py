@@ -93,7 +93,7 @@ def bounds(max_n: int) -> List[Check]:
 def finite_type(n: int) -> List[Check]:
     """Exactly 2^n families are principal up-filters (finite-type stars)."""
     census = sum(1 for fam in moore.enumerate_moore(n)
-                 if moore.is_principal_upfilter(fam)[0])
+                 if stars.is_finite_type(stars.star_from_moore(fam)))
     return [(f"finite-type census at n={n} equals 2^{n}", census == 2 ** n)]
 
 

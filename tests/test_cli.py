@@ -181,6 +181,18 @@ class TestConsoleScript:
         assert proc.returncode == code
         assert hashlib.sha256(proc.stdout).hexdigest() == stdout_sha256
 
+    def test_largest_printed_record_reads_back_within_10s(self, tmp_path):
+        """``star d-of`` at its guard prints 2^16 members, the record bound."""
+        path = tmp_path / "f.json"
+        with path.open("wb") as fh:
+            written = run_console(["star", "d-of", "--n", "16", "--localized-at",
+                                   ",".join(map(str, range(16)))], stdout=fh)
+        assert written.returncode == 0
+        proc = run_console(["star", "classify", "--family", f"@{path}"], timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout == (b"identity, finite-type, overring-induced "
+                               b"X={0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}\n")
+
 
 class TestVerify:
     def test_table1(self, capsys):
@@ -302,6 +314,9 @@ class TestStar:
             "--family", json.dumps({"n": 16, "members": [
                 [j for j in range(16) if j != i], list(range(16))]})))),
         ("star", "v-of", "--module", "(%s)" % ",".join(["0"] * 65)),
+        # 2^16 + 1 members: every subset of 16 points, and the full set of 17
+        ("star", "classify", "--family", json.dumps({"n": 17, "members": [
+            moore.indices_of(m) for m in range(1 << 16)] + [list(range(17))]})),
     ])
     def test_size_guards(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -318,6 +333,7 @@ class TestStar:
             code, out, err = run(capsys, *argv)
             assert code == 4 and out == ""
             assert err.startswith("input error: ") and "Traceback" not in err
+            assert "maximum recursion depth exceeded" in err
 
     @pytest.mark.parametrize("text, prefix", [
         ("[" * DEEP + "]" * (DEEP - 1), "input error: cannot parse record"),

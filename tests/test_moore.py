@@ -73,7 +73,9 @@ class TestGenerate:
         subsets = range(1 << n)
         for choice in range(1 << (1 << n)):
             chosen = [s for s in subsets if choice >> s & 1]
-            assert moore_generate(chosen, n).members == pairwise_closure(chosen, n)
+            closed = pairwise_closure(chosen, n)
+            assert moore_generate(chosen, n).members == closed
+            assert is_moore(chosen, n) == (tuple(sorted(chosen)) == closed)
 
 
 class TestClosure:
