@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -103,6 +104,11 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "2", "--out", str(path))
         assert code == 0 and out == ""
         assert len(path.read_text().strip().splitlines()) == 7
+        code, out, _ = run(capsys, "enumerate", "4")
+        assert code == 0
+        code, _, _ = run(capsys, "enumerate", "4", "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
 
     def test_n5_stream_digest(self, monkeypatch):
         """The n = 5 stream, byte for byte, as the seed release wrote it."""
@@ -171,15 +177,26 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv,code,stdout_sha256", [
         (("enumerate", "3"), 0,
          "dca47528c78374b1bce5bca5886edfaf33ec9e35d721a2b83b824d0d8ee57a57"),
+        (("enumerate", "5"), 0,
+         "413489138a583c941b48ccc75f847b46642a9ec561d5b7fd320324a98130ac98"),
         (("adapter", "--primes", "2", "--gens", "1e1000000"), 4,
          hashlib.sha256(b"").hexdigest()),
         (("adapter", "--primes", PRIMES_BELOW_400, "--gens", "1/2"), 2,
          hashlib.sha256(b"").hexdigest()),
-    ], ids=["enumerate-3", "adapter-exponent", "adapter-prime-count"])
-    def test_real_stdout_within_10s(self, argv, code, stdout_sha256):
-        proc = run_console(argv, timeout=10)
+    ], ids=["enumerate-3", "enumerate-5", "adapter-exponent", "adapter-prime-count"])
+    def test_real_stdout_within_10s(self, tmp_path, argv, code, stdout_sha256):
+        # stdout goes to a file, hashed in pieces and deleted: enumerate 5
+        # writes 162 MB
+        path = tmp_path / "stdout"
+        with path.open("wb") as fh:
+            proc = run_console(argv, stdout=fh, timeout=10)
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:
+            for piece in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(piece)
+        path.unlink()
         assert proc.returncode == code
-        assert hashlib.sha256(proc.stdout).hexdigest() == stdout_sha256
+        assert digest.hexdigest() == stdout_sha256
 
     def test_largest_printed_record_reads_back_within_10s(self, tmp_path):
         """``star d-of`` at its guard prints 2^16 members, the record bound."""
@@ -192,6 +209,17 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout == (b"identity, finite-type, overring-induced "
                                b"X={0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}\n")
+
+    def test_costly_record_refused_within_10s(self, tmp_path):
+        """Every subset of at most 3 of 48 points, plus the full set: 18 474
+        members, most of them meet-irreducible, so checking the record would
+        take 168 M units of fold work, past ``moore.FOLD_WORK_GUARD``."""
+        rows = [list(c) for r in range(4) for c in itertools.combinations(range(48), r)]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"n": 48, "members": rows + [list(range(48))]}))
+        proc = run_console(["star", "classify", "--family", f"@{path}"], timeout=10)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"refused: ")
 
 
 class TestVerify:

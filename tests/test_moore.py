@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import itertools
@@ -41,6 +42,16 @@ def powerset_family(n):
     return MooreFamily(n, tuple(range(1 << n)))
 
 
+def search_states(present, cands):
+    """Every state of the family search at and below a prefix (bit s of
+    ``present`` set iff s is in it) with ascending candidates ``cands``."""
+    yield present, cands
+    for i, c in enumerate(cands):
+        grown = present | 1 << c
+        yield from search_states(grown, [d for d in cands[i + 1:]
+                                         if grown >> (d & c) & 1])
+
+
 class TestIsMoore:
     def test_examples(self):
         assert is_moore({0b11}, 2)
@@ -53,6 +64,17 @@ class TestIsMoore:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             is_moore({0b100}, 2)
+
+    def test_fold_work_budget(self, monkeypatch):
+        """The power set of 6 points folds only its 6 coatoms, which visit 1,
+        2, ..., 32 members: 63 units of work, accepted at that budget and
+        refused one unit below it."""
+        power = set(range(1 << 6))
+        monkeypatch.setattr(moore, "FOLD_WORK_GUARD", 63)
+        assert is_moore(power, 6)
+        monkeypatch.setattr(moore, "FOLD_WORK_GUARD", 62)
+        with pytest.raises(GuardError):
+            is_moore(power, 6)
 
 
 class TestGenerate:
@@ -214,22 +236,61 @@ class TestEnumeration:
         its subtree: a key that confuses two states with different subtrees
         returns the first one's count for the second."""
         full = 15
-
-        def states(present, cands):
-            yield present, cands
-            for i, c in enumerate(cands):
-                grown = present | 1 << c
-                yield from states(grown, [d for d in cands[i + 1:]
-                                          if grown >> (d & c) & 1])
-
         memo, meets = {}, {}
         seen = 0
-        for present, cands in states(0, list(range(full))):
+        for present, cands in search_states(0, list(range(full))):
             mask = sum(1 << c for c in cands)
             assert (moore._completions(memo, meets, full + 1, present, cands, mask)
-                    == sum(1 for _ in states(present, cands)))
+                    == sum(1 for _ in search_states(present, cands)))
             seen += 1
         assert seen == KNOWN_COUNTS[4]
+
+    def test_block_memo_is_sound(self):
+        """Every state of at most ``BLOCK_CANDIDATES`` candidates the n = 4
+        search reaches, in search order, built through one memo shared by all
+        of them, against a memo-free listing of its subtree: the members each
+        family at and below it adds, plus the full set, sorted.  A key that
+        confuses two states with different subtrees returns the first one's
+        block for the second."""
+        full = 15
+
+        def suffixes(present, cands):
+            yield ()
+            for i, c in enumerate(cands):
+                grown = present | 1 << c
+                for rest in suffixes(grown, [d for d in cands[i + 1:]
+                                             if grown >> (d & c) & 1]):
+                    yield (c, *rest)
+
+        items = [(c,) for c in range(full)]
+        memo, meets = {}, {}
+        seen = 0
+        for present, cands in search_states(0, list(range(full))):
+            if len(cands) <= moore.BLOCK_CANDIDATES:
+                expected = tuple(sorted((*s, full) for s in suffixes(present, cands)))
+                assert moore._block(memo, meets, full + 1, items, (full,),
+                                    present, cands) == expected
+                seen += 1
+        assert seen == 2377
+        assert len(memo) < seen
+
+    def test_record_texts_keep_nothing_between_calls(self):
+        """The block memo goes with each stream: a second pass builds as much
+        as the first, and neither leaves anything behind."""
+        next(enumerate_record_texts(4))  # fills the module's member-text table
+        tracemalloc.start()
+        try:
+            built = []
+            for _ in range(2):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                collections.deque(enumerate_record_texts(4), maxlen=0)
+                after, peak = tracemalloc.get_traced_memory()
+                assert abs(after - before) <= 16 * 1024
+                built.append(peak - before)
+            assert built[1] >= 0.9 * built[0] > 16 * 1024
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_matches_brute_force(self, n):
@@ -357,13 +418,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_record_texts_match_the_renderer(self, n):
-        assert list(enumerate_record_texts(n)) == [
-            family_record_text(f) + "\n" for f in enumerate_moore(n)]
+        texts = list(enumerate_record_texts(n))
+        lines = [family_record_text(f) + "\n" for f in enumerate_moore(n)]
+        assert "".join(texts) == "".join(lines)
+        assert all(text.endswith("\n") for text in texts)
+        assert [line for text in texts
+                for line in text.splitlines(keepends=True)] == lines
 
     def test_record_texts_are_lazy(self):
         texts = enumerate_record_texts(5)
         assert isinstance(texts, types.GeneratorType)
-        assert next(texts) == family_record_text(next(enumerate_moore(5))) + "\n"
+        assert next(texts).startswith(
+            family_record_text(next(enumerate_moore(5))) + "\n")
 
     def test_record_texts_guard(self):
         texts = enumerate_record_texts(6)
