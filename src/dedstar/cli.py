@@ -129,10 +129,10 @@ def cmd_count(n: int) -> None:
 @click.option("--out", type=click.Path(writable=True), default=None)
 def cmd_enumerate(n: int, out: Optional[str]) -> None:
     """Stream every closed-support family in canonical order."""
-    moore._searchable_full_set(n)  # refuse before --out is truncated
+    texts = moore.enumerate_record_texts(n)  # refuses before --out is truncated
     sink = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
-        for line in moore.enumerate_record_texts(n):
+        for line in texts:
             sink.write(line)  # not hoisted: a sink may rebind its write
     finally:
         if out:

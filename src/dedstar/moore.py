@@ -5,8 +5,9 @@ as the ascending tuple of its member encodings; the full set is always a
 member (it is the empty intersection).  One depth-first search walks every
 family on n points in canonical order: ``count_moore`` counts it through a
 memo, and ``enumerate_moore`` and ``enumerate_record_texts`` hand it out in
-memoised blocks of at most 16 families.  Also houses generic finite-poset
-utilities: cover relations, brute-force order-isomorphism, DOT export.
+memoised blocks of at most 16 families.  No memo or text outlives a call.
+Also houses generic finite-poset utilities: cover relations, brute-force
+order-isomorphism, DOT export.
 """
 
 from __future__ import annotations
@@ -227,6 +228,15 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
             yield fold, (last,)
 
 
+def _pair_meets(cands: List[int]) -> int:
+    """Bitmask of the candidates' pairwise meets d & e, for the memo key."""
+    relevant = 0
+    for i, d in enumerate(cands):
+        for e in cands[i + 1:]:
+            relevant |= 1 << (d & e)
+    return relevant
+
+
 def _block(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int], width: int,
            items: Sequence[_T], last: _T, present: int, cands: List[int]
            ) -> Tuple[_T, ...]:
@@ -240,11 +250,7 @@ def _block(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int], width: int,
         mask |= 1 << d
     relevant = meets.get(mask)
     if relevant is None:
-        relevant = 0
-        for i, d in enumerate(cands):
-            for e in cands[i + 1:]:
-                relevant |= 1 << (d & e)
-        meets[mask] = relevant
+        relevant = meets[mask] = _pair_meets(cands)
     key = mask << width | (relevant & present)
     block = memo.get(key)
     if block is None:
@@ -272,18 +278,14 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], width: int,
     by the prefix members that are meets of two candidates.  So ``memo`` is
     keyed on the candidates and those members, each a bitmask over the
     ``width`` subsets; ``meets`` holds each candidate set's pairwise meets,
-    computed once.  A child with one candidate counts 2, itself and itself
-    plus that candidate, without a call.  A module-level function, not a
-    closure: a recursive closure is a reference cycle that keeps ``memo`` and
-    ``meets`` alive until the cycle collector runs.
+    computed by ``_pair_meets`` once.  A child with one candidate counts 2,
+    itself and itself plus that candidate, without a call.  A module-level
+    function, not a closure: a recursive closure is a reference cycle that
+    keeps ``memo`` and ``meets`` alive until the cycle collector runs.
     """
     relevant = meets.get(mask)
     if relevant is None:
-        relevant = 0
-        for i, d in enumerate(cands):
-            for e in cands[i + 1:]:
-                relevant |= 1 << (d & e)
-        meets[mask] = relevant
+        relevant = meets[mask] = _pair_meets(cands)
     key = mask << width | (relevant & present)
     total = memo.get(key)
     if total is None:
@@ -310,23 +312,25 @@ def count_moore(n: int) -> int:
 
 
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:
-    """All families exactly once, ascending in canonical serialization."""
+    """All families exactly once, ascending in canonical serialization.  An n
+    past the guard is refused at the call, not at the first ``next``."""
     full = _searchable_full_set(n)
     items = [(c,) for c in range(full)]
-    for prefix, block in _closed_blocks(full, (), items, (full,)):
-        for suffix in block:
-            yield MooreFamily._trusted(n, prefix + suffix)
+    return (MooreFamily._trusted(n, prefix + suffix)
+            for prefix, block in _closed_blocks(full, (), items, (full,))
+            for suffix in block)
 
 
 def enumerate_record_texts(n: int) -> Iterator[str]:
     """``family_record_text(f) + "\\n"`` for every f of ``enumerate_moore(n)``,
     concatenated a block of the search at a time: one join of up to 16
-    records, each the block's prefix text plus a memoised suffix."""
+    records, each the block's prefix text plus a memoised suffix.  Refused at
+    the call, like ``enumerate_moore``."""
     full = _searchable_full_set(n)
-    items = [_MEMBER_TEXTS[c] + "," for c in range(full)]
-    last = _MEMBER_TEXTS[full] + _RECORD_TAIL + "\n"
-    for prefix, block in _closed_blocks(full, _RECORD_HEAD % n, items, last):
-        yield prefix + prefix.join(block)
+    items = [_member_text(c) + "," for c in range(full)]
+    last = _member_text(full) + _RECORD_TAIL + "\n"
+    return (prefix + prefix.join(block)
+            for prefix, block in _closed_blocks(full, _RECORD_HEAD % n, items, last))
 
 
 def is_principal_upfilter(family: MooreFamily) -> Tuple[bool, Optional[int]]:
@@ -352,15 +356,9 @@ def family_to_record(family: MooreFamily) -> dict:
     return {"n": family.n, "members": [indices_of(m) for m in family.members]}
 
 
-class _MemberTexts(dict):
-    """Record text of each subset, e.g. 0b101 -> "[0,2]", for every n.  Filled
-    on first use, so a record at large n never costs a 2^n table."""
-
-    def __missing__(self, mask: int) -> str:
-        return self.setdefault(mask, "[" + ",".join(map(str, indices_of(mask))) + "]")
-
-
-_MEMBER_TEXTS = _MemberTexts()
+def _member_text(mask: int) -> str:
+    """Record text of a subset, e.g. 0b101 -> "[0,2]"."""
+    return "[" + ",".join(map(str, indices_of(mask))) + "]"
 
 
 #: A family record's text is head % n, the member texts joined by ",", tail.
@@ -370,7 +368,7 @@ _RECORD_TAIL = "]}"
 
 def family_record_text(family: MooreFamily) -> str:
     """``json.dumps(family_to_record(family), separators=(",", ":"))``."""
-    members = ",".join(map(_MEMBER_TEXTS.__getitem__, family.members))
+    members = ",".join(map(_member_text, family.members))
     return _RECORD_HEAD % family.n + members + _RECORD_TAIL
 
 

@@ -179,11 +179,14 @@ class TestConsoleScript:
          "dca47528c78374b1bce5bca5886edfaf33ec9e35d721a2b83b824d0d8ee57a57"),
         (("enumerate", "5"), 0,
          "413489138a583c941b48ccc75f847b46642a9ec561d5b7fd320324a98130ac98"),
+        (("star", "d-of", "--n", "16", "--localized-at", ",".join(map(str, range(16)))), 0,
+         "8c06894da9f2bd467c13809c92a3c397ecfa81f775b6071f6cb6df697185cb84"),
         (("adapter", "--primes", "2", "--gens", "1e1000000"), 4,
          hashlib.sha256(b"").hexdigest()),
         (("adapter", "--primes", PRIMES_BELOW_400, "--gens", "1/2"), 2,
          hashlib.sha256(b"").hexdigest()),
-    ], ids=["enumerate-3", "enumerate-5", "adapter-exponent", "adapter-prime-count"])
+    ], ids=["enumerate-3", "enumerate-5", "d-of-16", "adapter-exponent",
+            "adapter-prime-count"])
     def test_real_stdout_within_10s(self, tmp_path, argv, code, stdout_sha256):
         # stdout goes to a file, hashed in pieces and deleted: enumerate 5
         # writes 162 MB

@@ -36,6 +36,7 @@ from dedstar.moore import (
     moore_generate,
     poset_iso,
 )
+from dedstar.stars import d_of_overring
 
 
 def powerset_family(n):
@@ -194,6 +195,8 @@ class TestEnumeration:
             count_moore(6)
         with pytest.raises(GuardError):
             next(enumerate_moore(6))
+        with pytest.raises(GuardError):
+            enumerate_moore(6)  # at the call, not at the first next
         with pytest.raises(ValueError):
             count_moore(0)
 
@@ -432,9 +435,25 @@ class TestSerialization:
             family_record_text(next(enumerate_moore(5))) + "\n")
 
     def test_record_texts_guard(self):
-        texts = enumerate_record_texts(6)
+        """Refused at the call, so ``enumerate --out`` can refuse before it
+        opens its file."""
         with pytest.raises(GuardError):
-            next(texts)
+            enumerate_record_texts(6)
+
+    def test_rendering_keeps_nothing(self):
+        """Rendering the largest printed record, 2^16 members, twice leaves
+        traced memory where it started: no member text outlives a call."""
+        family = d_of_overring(tuple(range(16)), range(16)).family
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                family_record_text(family)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before <= 64 * 1024
+        finally:
+            tracemalloc.stop()
 
     def test_mask_helpers(self):
         assert mask_of([0, 2], 3) == 0b101
