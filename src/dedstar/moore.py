@@ -333,16 +333,15 @@ def enumerate_record_texts(n: int) -> Iterator[str]:
             for prefix, block in _closed_blocks(full, _RECORD_HEAD % n, items, last))
 
 
-def is_principal_upfilter(family: MooreFamily) -> Tuple[bool, Optional[int]]:
-    """Is the family exactly all supersets of its minimum member?"""
+def is_principal_upfilter(family: MooreFamily) -> bool:
+    """Is the family exactly all supersets of its minimum member?  A star is
+    of finite type exactly when its family passes; its base is then
+    ``family.members[0]``."""
     # The least member is the meet of all members, a member itself, and a
     # subset of every member, so it comes first in ascending order; the
     # family holds only supersets of it, and is all of them iff it has as many.
     base = family.members[0]
-    expected = 2 ** (family.n - bin(base).count("1"))
-    if len(family.members) != expected:
-        return (False, None)
-    return (True, base)
+    return len(family.members) == 2 ** (family.n - bin(base).count("1"))
 
 
 def binom_lower_bound(n: int) -> int:

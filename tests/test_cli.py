@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedstar import moore
+from dedstar import moore, stars, verify
 from dedstar.cli import SUITES, InputError, main, parse_vector_inline
 from dedstar.extvec import ZERO
 from dedstar.moore import is_moore, family_from_record
@@ -185,8 +185,10 @@ class TestConsoleScript:
          hashlib.sha256(b"").hexdigest()),
         (("adapter", "--primes", PRIMES_BELOW_400, "--gens", "1/2"), 2,
          hashlib.sha256(b"").hexdigest()),
+        (("verify", "finite-type", "5"), 0,
+         "96534989909152c1524859bfda86604d6ecbab7d542aaf34821518362d996e8b"),
     ], ids=["enumerate-3", "enumerate-5", "d-of-16", "adapter-exponent",
-            "adapter-prime-count"])
+            "adapter-prime-count", "finite-type-5"])
     def test_real_stdout_within_10s(self, tmp_path, argv, code, stdout_sha256):
         # stdout goes to a file, hashed in pieces and deleted: enumerate 5
         # writes 162 MB
@@ -249,9 +251,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "finite-type", "3")
         assert code == 0 and "2^3" in out
 
+    def test_finite_type_builds_no_stars(self, monkeypatch):
+        """The census asks the predicate of each family, with no ``Star``."""
+        def no_star(*args):
+            raise AssertionError("verify finite-type built a Star")
+
+        monkeypatch.setattr(stars, "Star", no_star)
+        assert verify.finite_type(3) == [("finite-type census at n=3 equals 2^3", True)]
+
     def test_n2_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "n2-shape")
         assert code == 0 and "PASS" in out
+
+    def test_n2_shape_catches_a_reversed_order(self, capsys, monkeypatch):
+        """The explicit map is checked against ``star_le`` on all 49 pairs."""
+        star_le = stars.star_le
+        monkeypatch.setattr(stars, "star_le", lambda s, t: star_le(t, s))
+        code, out, _ = run(capsys, "verify", "n2-shape")
+        assert code == 1 and out.startswith("FAIL")
 
     def test_oracles(self, capsys):
         code, out, _ = run(capsys, "verify", "oracles", "--trials", "100")

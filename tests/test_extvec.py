@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import preceq
+from conftest import frac_spec, preceq
 
 from dedstar.extvec import (
     POS_INF,
@@ -185,10 +185,10 @@ class TestColon:
             assert not vec_le(vec_mul(worse, g), f)
 
     def test_colon_cross_checked_against_oracle(self):
-        from dedstar.rationals import FracIdealSpec, colon_oracle, vector_of_module
+        from dedstar.rationals import colon_oracle, vector_of_module
 
-        spec_i = FracIdealSpec.of((2, 3), ["1/6"])
-        spec_j = FracIdealSpec.of((2, 3), ["1/2", "1/3"])
+        spec_i = frac_spec((2, 3), ["1/6"])
+        spec_j = frac_spec((2, 3), ["1/2", "1/3"])
         assert colon_oracle(spec_i, spec_j) == one((2, 3))
         assert vec_colon(
             vector_of_module(spec_i), vector_of_module(spec_j)

@@ -280,7 +280,7 @@ class TestEnumeration:
     def test_record_texts_keep_nothing_between_calls(self):
         """The block memo goes with each stream: a second pass builds as much
         as the first, and neither leaves anything behind."""
-        next(enumerate_record_texts(4))  # fills the module's member-text table
+        next(enumerate_record_texts(4))  # warm-up: first-call allocations stay out
         tracemalloc.start()
         try:
             built = []
@@ -332,13 +332,16 @@ class TestEnumeration:
 
 class TestUpfilter:
     def test_examples(self):
-        assert is_principal_upfilter(MooreFamily(2, (0b01, 0b11))) == (True, 0b01)
-        assert is_principal_upfilter(powerset_family(2)) == (True, 0b00)
-        assert is_principal_upfilter(MooreFamily(2, (0b00, 0b11))) == (False, None)
+        upfilter = MooreFamily(2, (0b01, 0b11))
+        assert is_principal_upfilter(upfilter) is True
+        assert upfilter.members[0] == 0b01
+        assert is_principal_upfilter(powerset_family(2)) is True
+        assert powerset_family(2).members[0] == 0b00
+        assert is_principal_upfilter(MooreFamily(2, (0b00, 0b11))) is False
 
     def test_census_small(self):
         for n in (1, 2, 3):
-            census = sum(1 for f in enumerate_moore(n) if is_principal_upfilter(f)[0])
+            census = sum(1 for f in enumerate_moore(n) if is_principal_upfilter(f))
             assert census == 2 ** n
 
 

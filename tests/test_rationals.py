@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import product_spec
+from conftest import frac_spec, product_spec
 
 from dedstar import rationals
 from dedstar.extvec import I64_MIN, POS_INF, ValVector, one, vec_colon, vec_mul
@@ -11,7 +11,6 @@ from dedstar.moore import GROUND_SET_GUARD, GuardError
 from dedstar.rationals import (
     PRIME_GUARD,
     RATIONAL_DIGIT_GUARD,
-    FracIdealSpec,
     colon_oracle,
     is_prime,
     module_member,
@@ -45,35 +44,35 @@ class TestPadicVal:
 class TestVectorOfModule:
     def test_examples(self):
         p = (2, 3)
-        assert vector_of_module(FracIdealSpec.of(p, ["1/2"])) == ValVector(p, (1, 0))
-        assert vector_of_module(FracIdealSpec.of(p, [6])) == ValVector(p, (-1, -1))
-        assert vector_of_module(FracIdealSpec.of(p, ["1/2", "1/3"])) == ValVector(p, (1, 1))
+        assert vector_of_module(frac_spec(p, ["1/2"])) == ValVector(p, (1, 0))
+        assert vector_of_module(frac_spec(p, [6])) == ValVector(p, (-1, -1))
+        assert vector_of_module(frac_spec(p, ["1/2", "1/3"])) == ValVector(p, (1, 1))
 
     def test_outside_primes_are_units(self):
         # 7 is a unit of the localization at {2,3}
-        assert vector_of_module(FracIdealSpec.of((2, 3), [7])) == one((2, 3))
+        assert vector_of_module(frac_spec((2, 3), [7])) == one((2, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FracIdealSpec.of((2, 3), [])
+            frac_spec((2, 3), [])
         with pytest.raises(ValueError):
-            FracIdealSpec.of((2, 3), [0])
+            frac_spec((2, 3), [0])
         for primes in ((2, 4), (1,), (2, 2), (9,), ()):
             with pytest.raises(ValueError):
-                FracIdealSpec.of(primes, [1])
+                frac_spec(primes, [1])
         with pytest.raises(GuardError):
-            FracIdealSpec.of((PRIME_GUARD + 15,), [1])
+            frac_spec((PRIME_GUARD + 15,), [1])
 
     def test_prime_count_guard(self, monkeypatch):
         primes = [p for p in range(2, 400) if is_prime(p)][:GROUND_SET_GUARD + 1]
-        assert len(FracIdealSpec.of(primes[:-1], [1]).primes) == GROUND_SET_GUARD
+        assert len(frac_spec(primes[:-1], [1]).primes) == GROUND_SET_GUARD
 
         def no_trial_division(p):
             raise AssertionError("is_prime ran before the prime-count guard")
 
         monkeypatch.setattr(rationals, "is_prime", no_trial_division)
         with pytest.raises(GuardError):
-            FracIdealSpec.of(primes, [1])
+            frac_spec(primes, [1])
 
     def test_is_prime_matches_sieve(self):
         sieve = [True] * 1000
@@ -115,13 +114,13 @@ class TestColonOracle:
     def test_examples(self):
         p = (2, 3)
         assert colon_oracle(
-            FracIdealSpec.of(p, [1]), FracIdealSpec.of(p, ["1/2"])
+            frac_spec(p, [1]), frac_spec(p, ["1/2"])
         ) == ValVector(p, (-1, 0))
         assert colon_oracle(
-            FracIdealSpec.of(p, [1]), FracIdealSpec.of(p, [1])
+            frac_spec(p, [1]), frac_spec(p, [1])
         ) == one(p)
         assert colon_oracle(
-            FracIdealSpec.of(p, ["1/6"]), FracIdealSpec.of(p, ["1/2", "1/3"])
+            frac_spec(p, ["1/6"]), frac_spec(p, ["1/2", "1/3"])
         ) == one(p)
 
     def test_matches_vector_colon(self):
@@ -134,7 +133,7 @@ class TestColonOracle:
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
-            colon_oracle(FracIdealSpec.of((2,), [1]), FracIdealSpec.of((3,), [1]))
+            colon_oracle(frac_spec((2,), [1]), frac_spec((3,), [1]))
 
 
 class TestProductLaw:

@@ -16,6 +16,7 @@ from dedstar.extvec import (
     inf_support,
     one,
     top,
+    vec_colon,
     vec_inf,
     vec_le,
     vec_mul,
@@ -26,6 +27,7 @@ from dedstar.moore import (
     enumerate_moore,
     family_to_record,
     indices_of,
+    is_principal_upfilter,
     mask_of,
 )
 from dedstar.stars import (
@@ -38,7 +40,6 @@ from dedstar.stars import (
     dagger_supports,
     default_primes,
     is_closed,
-    is_finite_type,
     star_from_moore,
     star_from_record,
     star_join,
@@ -47,7 +48,7 @@ from dedstar.stars import (
     v_apply_by_colon,
     v_of,
 )
-from dedstar.verify import random_vector
+from dedstar.verify import _missing_proper, random_vector
 
 P2 = (2, 3)
 P3 = (2, 3, 5)
@@ -143,6 +144,16 @@ class TestApply:
                 assert star_le(s2, s1)
                 for f in sample:
                     assert vec_le(apply(s2, f), apply(s1, f))
+
+    def test_missing_proper_subsets_embed_the_order_n3(self):
+        """F -> {c + 1 : proper c not in F}, the map ``verify n2-shape`` checks,
+        is one to one at n = 3 and star_le holds exactly where the images are
+        nested, on all 61^2 pairs."""
+        star_list = [star_from_moore(f) for f in enumerate_moore(3)]
+        images = [_missing_proper(s.family) for s in star_list]
+        assert len(set(images)) == 61
+        for (s, a), (t, b) in itertools.product(zip(star_list, images), repeat=2):
+            assert star_le(s, t) == (a <= b)
 
 
 class TestIsClosed:
@@ -295,6 +306,20 @@ class TestDivisorial:
             for f in windowed_vectors(P2, 2):
                 assert apply(s, f) == v_apply_by_colon(j, f)
 
+    def test_outer_colon_never_vanishes(self):
+        """A nonzero (j : f) is +inf exactly where j is, so the outer colon
+        (j : (j : f)) is never the zero module."""
+        nonzero = 0
+        for primes in ((2,), P2):
+            sample = windowed_vectors(primes, 2)
+            for j, f in itertools.product(sample, repeat=2):
+                inner = vec_colon(j, f)
+                if inner is not ZERO:
+                    nonzero += 1
+                    assert inf_support(inner) == inf_support(j)
+                    assert vec_colon(j, inner) is not ZERO
+        assert nonzero == 992  # of the 1 332 windowed pairs
+
 
 class TestOverringStars:
     def test_extreme_bases(self):
@@ -343,14 +368,14 @@ class TestFiniteType:
     def test_overring_stars_are_finite_type(self):
         for k in range(3):
             for x in itertools.combinations(range(2), k):
-                assert is_finite_type(d_of_overring(P2, x))
+                assert is_principal_upfilter(d_of_overring(P2, x).family)
 
     def test_trivial_extension_is_finite_type(self):
-        assert is_finite_type(d_of_overring(P3, ()))
+        assert is_principal_upfilter(d_of_overring(P3, ()).family)
 
     def test_divisorial_counterexample(self):
         s = v_of(one(P2))
-        assert not is_finite_type(s)
+        assert not is_principal_upfilter(s.family)
         # truncations of (inf, 0) stay put but the limit closes to the top
         t = ValVector(P2, (POS_INF, 0))
         assert apply(s, ValVector(P2, (4, 0))) == ValVector(P2, (4, 0))
@@ -360,7 +385,7 @@ class TestFiniteType:
         for n in (1, 2, 3):
             census = sum(
                 1 for fam in enumerate_moore(n)
-                if is_finite_type(star_from_moore(fam))
+                if is_principal_upfilter(star_from_moore(fam).family)
             )
             assert census == 2 ** n
 
@@ -368,7 +393,8 @@ class TestFiniteType:
         samples = windowed_vectors(P2, 2)
         for fam in enumerate_moore(2):
             s = Star(P2, fam)
-            assert finite_type_by_truncation(s, samples, 4) == is_finite_type(s)
+            assert (finite_type_by_truncation(s, samples, 4)
+                    == is_principal_upfilter(s.family))
 
 
 class TestClassify:
