@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
     TypeVar)
@@ -120,6 +121,14 @@ class MooreFamily:
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        """The members as a frozenset, for order tests.  The ascending tuple
+        stays the family's one representation; this is an index built from
+        it the first time it is asked for, also on ``_trusted`` families, and
+        not a field, so equality, hashing and records ignore it."""
+        return frozenset(self.members)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.members
@@ -390,18 +399,26 @@ def family_from_record(record: dict) -> MooreFamily:
 
 
 def hasse(elements: Sequence, leq: Callable) -> List[Tuple[int, int]]:
-    """Cover relations as (lower index, upper index) pairs."""
+    """Cover relations as (lower index, upper index) pairs, from one ``leq``
+    call per ordered pair of distinct elements.  Bit j of ``up[i]`` and bit i
+    of ``down[j]`` are set iff elements[i] <= elements[j]; ``below[j]`` and
+    ``above[i]`` drop the ties, so tied elements of a preorder are never
+    strictly below each other.  i is covered by j iff i is strictly below j
+    and nothing strictly below j is strictly above i."""
     k = len(elements)
-    strictly_below = [
-        {i for i in range(k) if i != j and leq(elements[i], elements[j])
-         and not leq(elements[j], elements[i])}
-        for j in range(k)
-    ]
+    up = [0] * k
+    down = [0] * k
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            if i != j and leq(a, b):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    above = [u & ~d for u, d in zip(up, down)]
     covers = []
     for j in range(k):
-        below = strictly_below[j]
-        for i in below:
-            if not any(i in strictly_below[m] for m in below if m != i):
+        below = down[j] & ~up[j]
+        for i in range(k):
+            if below >> i & 1 and not below & above[i]:
                 covers.append((i, j))
     return sorted(covers)
 

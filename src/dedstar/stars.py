@@ -98,10 +98,12 @@ def is_closed(star: Star, f: ModuleVector) -> bool:
 
 
 def star_le(s1: Star, s2: Star) -> bool:
-    """Star order: s1 <= s2 iff every s2-closed module is s1-closed."""
+    """Star order: s1 <= s2 iff every s2-closed module is s1-closed, that is
+    iff s2's family lies inside s1's.  Compares the families' cached
+    ``member_set`` indices, so each family's set is built once."""
     if s1.primes != s2.primes:
         raise SpectrumError("spectra differ")
-    return set(s2.family.members) <= set(s1.family.members)
+    return s2.family.member_set <= s1.family.member_set
 
 
 def _combine(stars: Sequence[Star], family_op: Callable, what: str) -> Star:

@@ -23,6 +23,24 @@ def pairwise_closure(subsets, n):
         family = grown
 
 
+def hasse_by_definition(elements, leq):
+    """Covers (i, j) of a preorder straight from the definition: i is strictly
+    below j (i <= j and not j <= i), and no m is strictly between them."""
+    k = len(elements)
+    strictly_below = [
+        {i for i in range(k) if i != j and leq(elements[i], elements[j])
+         and not leq(elements[j], elements[i])}
+        for j in range(k)
+    ]
+    covers = []
+    for j in range(k):
+        below = strictly_below[j]
+        for i in below:
+            if not any(i in strictly_below[m] for m in below if m != i):
+                covers.append((i, j))
+    return sorted(covers)
+
+
 def windowed_vectors(primes, bound):
     """Every vector with entries in {-bound..bound, +inf}."""
     values = list(range(-bound, bound + 1)) + [POS_INF]

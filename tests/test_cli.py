@@ -187,8 +187,12 @@ class TestConsoleScript:
          hashlib.sha256(b"").hexdigest()),
         (("verify", "finite-type", "5"), 0,
          "96534989909152c1524859bfda86604d6ecbab7d542aaf34821518362d996e8b"),
+        (("hasse", "3"), 0,
+         "aeb29ec6213fc4c16819f2479bdf9c363b692fdc37552041fc01ec5cc7d86aaa"),
+        (("hasse", "3", "--format", "json"), 0,
+         "b68f1b7b1b2cabc344869f7a51e99c8af5a0e6b5564a2308527bcfdcda8ef140"),
     ], ids=["enumerate-3", "enumerate-5", "d-of-16", "adapter-exponent",
-            "adapter-prime-count", "finite-type-5"])
+            "adapter-prime-count", "finite-type-5", "hasse-3", "hasse-3-json"])
     def test_real_stdout_within_10s(self, tmp_path, argv, code, stdout_sha256):
         # stdout goes to a file, hashed in pieces and deleted: enumerate 5
         # writes 162 MB
@@ -548,12 +552,14 @@ class TestHasse:
         code, out, _ = run(capsys, "hasse", "2", "--format", "dot")
         assert code == 0
         assert out.count("[label=") == 7
+        assert out.count("->") == 9
 
     def test_json_61_nodes(self, capsys):
         code, out, _ = run(capsys, "hasse", "3", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert len(payload["nodes"]) == 61
+        assert len(payload["edges"]) == 151
         assert all(len(e) == 2 for e in payload["edges"])
 
     def test_guard(self, capsys):

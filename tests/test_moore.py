@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import gc
 import itertools
@@ -9,7 +10,7 @@ import types
 
 import pytest
 
-from conftest import pairwise_closure
+from conftest import hasse_by_definition, pairwise_closure
 
 from dedstar import moore
 from dedstar.moore import (
@@ -345,6 +346,24 @@ class TestUpfilter:
             assert census == 2 ** n
 
 
+class TestMemberSet:
+    def test_equals_the_members(self):
+        for fam in (powerset_family(3), MooreFamily(2, (0b00, 0b11)),
+                    moore_generate({0b011, 0b110}, 3)):
+            assert fam.member_set == frozenset(fam.members)
+        for fam in enumerate_moore(3):  # built by ``_trusted``
+            assert fam.member_set == frozenset(fam.members)
+            assert fam.member_set is fam.member_set  # built once
+
+    def test_not_part_of_equality_or_hash(self):
+        built = MooreFamily(3, (0b001, 0b011, 0b111))
+        fresh = MooreFamily(3, (0b001, 0b011, 0b111))
+        assert built.member_set == {0b001, 0b011, 0b111}
+        assert built == fresh and hash(built) == hash(fresh)
+        assert family_to_record(built) == family_to_record(fresh)
+        assert [f.name for f in dataclasses.fields(MooreFamily)] == ["n", "members"]
+
+
 class TestBounds:
     def test_values(self):
         assert binom_lower_bound(2) == 4
@@ -366,6 +385,33 @@ class TestPosets:
         # divisibility on {1,2,3,6}: 1 under 2 and 3; 2,3 under 6; no 1->6
         elems = [1, 2, 3, 6]
         assert hasse(elems, lambda a, b: b % a == 0) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+    def test_hasse_matches_definition_on_random_preorders(self):
+        """Total preorders with repeated keys, divisibility on integers with
+        repeats, and inclusion on subsets with repeats: tied elements are
+        never strictly below each other."""
+        rng = random.Random(20)
+        for _ in range(60):
+            k = rng.randint(0, 24)
+            keys = [rng.randint(0, 6) for _ in range(k)]
+            numbers = [rng.randint(1, 36) for _ in range(k)]
+            masks = [rng.randrange(16) for _ in range(k)]
+            for elems, leq in ((list(range(k)), lambda a, b: keys[a] <= keys[b]),
+                               (numbers, lambda a, b: b % a == 0),
+                               (masks, lambda a, b: a & b == a)):
+                assert hasse(elems, leq) == hasse_by_definition(elems, leq)
+
+    def test_hasse_calls_leq_once_per_ordered_pair(self):
+        elems = [1, 2, 3, 4, 6, 12, 5, 12]
+        calls = []
+
+        def leq(a, b):
+            calls.append((a, b))
+            return b % a == 0
+
+        hasse(elems, leq)
+        # k(k - 1) calls, each ordered pair of positions once
+        assert sorted(calls) == sorted(itertools.permutations(elems, 2))
 
     def test_iso_examples(self):
         chain = [0, 1]

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import dagger_bounded_oracle, finite_type_by_truncation, windowed_vectors
+from conftest import (
+    dagger_bounded_oracle, finite_type_by_truncation, hasse_by_definition, windowed_vectors)
 
 from dedstar import moore
 from dedstar.extvec import (
@@ -26,6 +27,7 @@ from dedstar.moore import (
     MooreFamily,
     enumerate_moore,
     family_to_record,
+    hasse,
     indices_of,
     is_principal_upfilter,
     mask_of,
@@ -154,6 +156,25 @@ class TestApply:
         assert len(set(images)) == 61
         for (s, a), (t, b) in itertools.product(zip(star_list, images), repeat=2):
             assert star_le(s, t) == (a <= b)
+
+
+class TestStarOrder:
+    STARS_N3 = [star_from_moore(f) for f in enumerate_moore(3)]
+
+    def test_agrees_with_member_inclusion_n3(self):
+        for a, b in itertools.product(self.STARS_N3, repeat=2):
+            assert star_le(a, b) == (set(b.family.members) <= set(a.family.members))
+
+    def test_spectra_differ(self):
+        fam = MooreFamily(2, (0b01, 0b11))
+        fam.member_set  # a built index changes nothing
+        with pytest.raises(SpectrumError):
+            star_le(Star(P2, fam), Star((2, 7), fam))
+
+    def test_hasse_n3_matches_definition(self):
+        edges = hasse(self.STARS_N3, star_le)
+        assert len(edges) == 151
+        assert edges == hasse_by_definition(self.STARS_N3, star_le)
 
 
 class TestIsClosed:
@@ -380,14 +401,6 @@ class TestFiniteType:
         t = ValVector(P2, (POS_INF, 0))
         assert apply(s, ValVector(P2, (4, 0))) == ValVector(P2, (4, 0))
         assert apply(s, t) == top(P2)
-
-    def test_census_small(self):
-        for n in (1, 2, 3):
-            census = sum(
-                1 for fam in enumerate_moore(n)
-                if is_principal_upfilter(star_from_moore(fam).family)
-            )
-            assert census == 2 ** n
 
     def test_truncation_oracle_agrees_on_all_families(self):
         samples = windowed_vectors(P2, 2)
