@@ -5,7 +5,9 @@ as the ascending tuple of its member encodings; the full set is always a
 member (it is the empty intersection).  One depth-first search walks every
 family on n points in canonical order: ``count_moore`` counts it through a
 memo, and ``enumerate_moore`` and ``enumerate_record_texts`` hand it out in
-memoised blocks of at most 16 families.  No memo or text outlives a call.
+memoised blocks of at most 16 families; a state of 5 or 6 candidates is
+kept as its list of children, so a revisit computes nothing.  No memo or text
+outlives a call.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -191,12 +193,20 @@ def _searchable_full_set(n: int) -> int:
 
 
 #: A search state with at most this many candidates is built once, as one
-#: memoised block of at most 2^4 = 16 suffix folds, and handed out whole.
-#: ``enumerate_record_texts(5)`` process time and peak RSS over a 16 MB start,
-#: by bound (2-core VM, Python 3.11): 0 (a family at a time) 2.1-2.5 s, +0 MB;
-#: 3, 1.2-1.4 s, +0.2 MB; 4, 0.8-1.0 s, +1.2 MB; 6, 0.6 s, +11 MB; 8, 0.5 s,
-#: +40 MB.  Past 4 the memory grows faster than the time falls.
+#: memoised block of at most 2^4 = 16 suffix folds, and handed out whole.  A
+#: larger state of at most ``STATE_CANDIDATES`` is walked once and stored as
+#: its children, which each revisit hands out again; larger ones are walked on
+#: every visit.  ``enumerate_record_texts(5)`` process time and peak RSS over a
+#: 16 MB start, by (block bound, state limit), 3 runs each on a shared 2-core
+#: VM with Python 3.11: (0, 0), a family at a time, 2.2-3.3 s, +0 MB; (3, 3)
+#: 1.2-2.3 s, +0.25 MB; (4, 4) 0.65-1.06 s, +1.25 MB; (6, 6) 0.38-0.67 s,
+#: +11 MB; (3, 6) 0.76-0.89 s, +1.4 MB; (5, 6) 0.42-1.01 s, +4.8 MB; (4, 6)
+#: 0.43-0.60 s, +2.1 MB; (4, 8) 0.49-0.68 s, +3.8 MB; (4, every state)
+#: 0.32-0.84 s, +5.3 MB.  Past 4 a block grows the memory faster than the
+#: time falls, and past 6 a stored state adds memory for no clear time.  At
+#: n = 5 the search keeps 1 335 blocks and 2 783 states.
 BLOCK_CANDIDATES = 4
+STATE_CANDIDATES = 6
 
 
 def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
@@ -213,28 +223,80 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     d & c in P + [c].  So P + [full] is a family, and P, yielded after its
     children, sorts after theirs.  A child with at most ``BLOCK_CANDIDATES``
     candidates comes out as one block from ``_block``, built once per memo
-    key; a larger one is pushed on the stack.
+    key.  A larger one is pushed on the stack: ``_walk`` lists its children
+    lazily, and one of at most ``STATE_CANDIDATES`` candidates is stored as
+    that list, under the same key, once its last child has gone out, so a
+    revisit pushes the stored children and computes nothing.  The memos are
+    locals of the call, and the walks module-level functions, so nothing
+    outlives the call and no reference cycle holds a memo.
     """
-    width = full + 1
     memo: Dict[int, Tuple[_T, ...]] = {}
-    meets: Dict[int, int] = {}
-    proper = list(range(full))
-    # frames: candidates, their iterator, the prefix as a bitmask (bit s set
-    # iff subset s is in it) and the prefix's fold
-    stack = [(proper, enumerate(proper), 0, start)]
+    states: Dict[int, Tuple] = {}
+    root = _walk(memo, {}, states, full + 1, items, last, 0, list(range(full)), None)
+    return _unfold(states, items, last, start, root)
+
+
+def _unfold(states: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
+            children: Iterator[Tuple[int, object]]
+            ) -> Iterator[Tuple[_T, Tuple[_T, ...]]]:
+    """The pairs (prefix fold, block) at and below a state of the search,
+    from the state's children as ``_walk`` gives them.  A stack frame holds a
+    prefix's fold and its children still to come."""
+    stack = [(start, children)]
     while stack:
-        cands, steps, present, fold = stack[-1]
-        for i, c in steps:
-            grown = present | 1 << c
-            rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
-            if len(rest) > BLOCK_CANDIDATES:
-                stack.append((rest, enumerate(rest), grown, fold + items[c]))
+        fold, children = stack[-1]
+        for c, child in children:
+            if child.__class__ is tuple:
+                yield fold + items[c], child
+            else:
+                if child.__class__ is int:
+                    child = _stored(states, child)
+                stack.append((fold + items[c], child))
                 break
-            yield fold + items[c], (_block(memo, meets, width, items, last,
-                                           grown, rest) if rest else (last,))
         else:
             stack.pop()
             yield fold, (last,)
+
+
+def _stored(states: Dict[int, Tuple], key: int) -> Iterator[Tuple[int, object]]:
+    """The children a walked state was stored as, under its memo key."""
+    flat = iter(states[key])
+    return zip(flat, flat)
+
+
+def _walk(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int],
+          states: Dict[int, Tuple], width: int, items: Sequence[_T], last: _T,
+          present: int, cands: List[int], key: Optional[int]
+          ) -> Iterator[Tuple[int, object]]:
+    """The children of a search state, in order, as pairs (piece index c,
+    child): a prefix (bit s of ``present`` set iff s is in it) with ascending
+    candidates ``cands`` adds a candidate c and keeps the later candidates d
+    with d & c in the grown prefix.  The search writes that rule only here;
+    ``_completions`` writes it again, for the reason given there.
+
+    A child of at most ``BLOCK_CANDIDATES`` candidates is its block.  A larger
+    one is the memo key of its stored children, or a walk of it.  With a
+    ``key``, the pairs are recorded as they go out, in one flat tuple, and
+    stored under it in ``states`` after the last, so a first walk computes
+    nothing ahead of its children; a child is recorded by its block or key."""
+    record = [] if key is not None else None
+    for i, c in enumerate(cands):
+        grown = present | 1 << c
+        rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
+        if len(rest) <= BLOCK_CANDIDATES:
+            child = _block(memo, meets, width, items, last, grown, rest) if rest else (last,)
+            if record is not None:
+                record += (c, child)
+            yield c, child
+            continue
+        child_key = (_state_key(meets, width, grown, rest)
+                     if len(rest) <= STATE_CANDIDATES else None)
+        if record is not None:
+            record += (c, child_key)
+        yield c, (child_key if child_key in states else
+                  _walk(memo, meets, states, width, items, last, grown, rest, child_key))
+    if record is not None:
+        states[key] = tuple(record)
 
 
 def _pair_meets(cands: List[int]) -> int:
@@ -246,6 +308,20 @@ def _pair_meets(cands: List[int]) -> int:
     return relevant
 
 
+def _state_key(meets: Dict[int, int], width: int, present: int, cands: List[int]
+               ) -> int:
+    """``_completions``' memo key of a search state, from the candidates as
+    a bitmask over the ``width`` subsets and their pairwise meets, looked up
+    in ``meets``."""
+    mask = 0
+    for d in cands:
+        mask |= 1 << d
+    relevant = meets.get(mask)
+    if relevant is None:
+        relevant = meets[mask] = _pair_meets(cands)
+    return mask << width | (relevant & present)
+
+
 def _block(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int], width: int,
            items: Sequence[_T], last: _T, present: int, cands: List[int]
            ) -> Tuple[_T, ...]:
@@ -254,22 +330,13 @@ def _block(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int], width: int,
     ``present`` set iff s is in it) and its ascending candidates ``cands``.
     Memoised on ``_completions``' key, which fixes the subtree below the
     state; a module-level function for the reason given there."""
-    mask = 0
-    for d in cands:
-        mask |= 1 << d
-    relevant = meets.get(mask)
-    if relevant is None:
-        relevant = meets[mask] = _pair_meets(cands)
-    key = mask << width | (relevant & present)
+    key = _state_key(meets, width, present, cands)
     block = memo.get(key)
     if block is None:
-        suffixes = []
-        for i, c in enumerate(cands):
-            grown = present | 1 << c
-            piece = items[c]
-            rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
-            suffixes += [piece + s for s in
-                         _block(memo, meets, width, items, last, grown, rest)]
+        # every child of a state this small is a block
+        suffixes = [items[c] + s for c, child in
+                    _walk(memo, meets, None, width, items, last, present, cands, None)
+                    for s in child]
         suffixes.append(last)
         block = memo[key] = tuple(suffixes)
     return block
@@ -290,7 +357,10 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], width: int,
     computed by ``_pair_meets`` once.  A child with one candidate counts 2,
     itself and itself plus that candidate, without a call.  A module-level
     function, not a closure: a recursive closure is a reference cycle that
-    keeps ``memo`` and ``meets`` alive until the cycle collector runs.
+    keeps ``memo`` and ``meets`` alive until the cycle collector runs.  It
+    writes the child rule of ``_walk`` out again, building each child's
+    candidate mask alongside: taking the children from a generator made
+    ``count_moore(5)`` about 30% slower.
     """
     relevant = meets.get(mask)
     if relevant is None:
@@ -398,13 +468,11 @@ def family_from_record(record: dict) -> MooreFamily:
 # Finite poset utilities
 
 
-def hasse(elements: Sequence, leq: Callable) -> List[Tuple[int, int]]:
-    """Cover relations as (lower index, upper index) pairs, from one ``leq``
-    call per ordered pair of distinct elements.  Bit j of ``up[i]`` and bit i
-    of ``down[j]`` are set iff elements[i] <= elements[j]; ``below[j]`` and
-    ``above[i]`` drop the ties, so tied elements of a preorder are never
-    strictly below each other.  i is covered by j iff i is strictly below j
-    and nothing strictly below j is strictly above i."""
+def _order_masks(elements: Sequence, leq: Callable) -> Tuple[List[int], List[int]]:
+    """The order as bitmasks, from one ``leq`` call per ordered pair of
+    distinct elements: bit j of ``up[i]`` and bit i of ``down[j]`` are set iff
+    elements[i] <= elements[j].  ``leq`` is assumed reflexive, so no element
+    is compared with itself and no mask holds its own bit."""
     k = len(elements)
     up = [0] * k
     down = [0] * k
@@ -413,6 +481,17 @@ def hasse(elements: Sequence, leq: Callable) -> List[Tuple[int, int]]:
             if i != j and leq(a, b):
                 up[i] |= 1 << j
                 down[j] |= 1 << i
+    return up, down
+
+
+def hasse(elements: Sequence, leq: Callable) -> List[Tuple[int, int]]:
+    """Cover relations as (lower index, upper index) pairs, from the order
+    masks of ``_order_masks``; ``leq`` is assumed reflexive.  ``below[j]`` and
+    ``above[i]`` drop the ties, so tied elements of a preorder are never
+    strictly below each other.  i is covered by j iff i is strictly below j
+    and nothing strictly below j is strictly above i."""
+    k = len(elements)
+    up, down = _order_masks(elements, leq)
     above = [u & ~d for u, d in zip(up, down)]
     covers = []
     for j in range(k):
@@ -423,17 +502,15 @@ def hasse(elements: Sequence, leq: Callable) -> List[Tuple[int, int]]:
     return sorted(covers)
 
 
-def _leq_matrix(elements: Sequence, leq: Callable) -> List[List[bool]]:
-    return [[bool(leq(a, b)) for b in elements] for a in elements]
-
-
 def poset_iso(
     elements1: Sequence,
     leq1: Callable,
     elements2: Sequence,
     leq2: Callable,
 ) -> bool:
-    """Brute-force search for an order isomorphism.
+    """Brute-force search for an order isomorphism between two preorders,
+    each read once through ``_order_masks``; ``leq1`` and ``leq2`` are assumed
+    reflexive.
 
     For an anti-isomorphism, pass the reversed order as leq2.  Candidates are
     pruned by up-set/down-set size profiles before the backtracking bijection
@@ -445,14 +522,10 @@ def poset_iso(
     if k > ISO_GUARD:
         raise GuardError(f"isomorphism search on {k} elements exceeds {ISO_GUARD}")
 
-    m1 = _leq_matrix(elements1, leq1)
-    m2 = _leq_matrix(elements2, leq2)
-
-    def profile(m: List[List[bool]], i: int) -> Tuple[int, int]:
-        return (sum(m[i]), sum(row[i] for row in m))
-
-    prof1 = [profile(m1, i) for i in range(k)]
-    prof2 = [profile(m2, i) for i in range(k)]
+    up1, down1 = _order_masks(elements1, leq1)
+    up2, down2 = _order_masks(elements2, leq2)
+    prof1 = [(u.bit_count(), d.bit_count()) for u, d in zip(up1, down1)]
+    prof2 = [(u.bit_count(), d.bit_count()) for u, d in zip(up2, down2)]
     if sorted(prof1) != sorted(prof2):
         return False
 
@@ -472,7 +545,8 @@ def poset_iso(
                 continue
             ok = True
             for i2, j2 in image.items():
-                if m1[i][i2] != m2[j][j2] or m1[i2][i] != m2[j2][j]:
+                if (up1[i] >> i2 & 1 != up2[j] >> j2 & 1
+                        or down1[i] >> i2 & 1 != down2[j] >> j2 & 1):
                     ok = False
                     break
             if ok:

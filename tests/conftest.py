@@ -41,6 +41,36 @@ def hasse_by_definition(elements, leq):
     return sorted(covers)
 
 
+def iso_by_permutations(elements1, leq1, elements2, leq2):
+    """Order isomorphism straight from the definition: some bijection, tried
+    over all permutations, carries a <= b to exactly the pairs it relates."""
+    k = len(elements1)
+    if k != len(elements2):
+        return False
+    m1 = [[leq1(a, b) for b in elements1] for a in elements1]
+    m2 = [[leq2(a, b) for b in elements2] for a in elements2]
+    return any(all(m1[i][j] == m2[p[i]][p[j]] for i in range(k) for j in range(k))
+               for p in itertools.permutations(range(k)))
+
+
+def random_preorder(rng, k, blocks):
+    """A random preorder on range(k) as a 0/1 matrix: a random partial order
+    on ``blocks`` points, transitively closed, with each element placed on a
+    random point, so elements on one point are tied.  With ``blocks`` >= k
+    the points are distinct and it is a partial order."""
+    below = [[a == b or (a < b and rng.random() < 0.4) for b in range(blocks)]
+             for a in range(blocks)]
+    for m in range(blocks):
+        for a in range(blocks):
+            if below[a][m]:
+                for b in range(blocks):
+                    if below[m][b]:
+                        below[a][b] = True
+    point = (rng.sample(range(blocks), k) if blocks >= k
+             else [rng.randrange(blocks) for _ in range(k)])
+    return [[below[point[a]][point[b]] for b in range(k)] for a in range(k)]
+
+
 def windowed_vectors(primes, bound):
     """Every vector with entries in {-bound..bound, +inf}."""
     values = list(range(-bound, bound + 1)) + [POS_INF]

@@ -10,7 +10,8 @@ import types
 
 import pytest
 
-from conftest import hasse_by_definition, pairwise_closure
+from conftest import (
+    hasse_by_definition, iso_by_permutations, pairwise_closure, random_preorder)
 
 from dedstar import moore
 from dedstar.moore import (
@@ -52,6 +53,17 @@ def search_states(present, cands):
         grown = present | 1 << c
         yield from search_states(grown, [d for d in cands[i + 1:]
                                          if grown >> (d & c) & 1])
+
+
+def search_suffixes(present, cands):
+    """The members that each family at and below a state of the search adds
+    to its prefix, without a memo."""
+    yield ()
+    for i, c in enumerate(cands):
+        grown = present | 1 << c
+        for rest in search_suffixes(grown, [d for d in cands[i + 1:]
+                                            if grown >> (d & c) & 1]):
+            yield (c, *rest)
 
 
 class TestIsMoore:
@@ -257,26 +269,64 @@ class TestEnumeration:
         confuses two states with different subtrees returns the first one's
         block for the second."""
         full = 15
-
-        def suffixes(present, cands):
-            yield ()
-            for i, c in enumerate(cands):
-                grown = present | 1 << c
-                for rest in suffixes(grown, [d for d in cands[i + 1:]
-                                             if grown >> (d & c) & 1]):
-                    yield (c, *rest)
-
         items = [(c,) for c in range(full)]
         memo, meets = {}, {}
         seen = 0
         for present, cands in search_states(0, list(range(full))):
             if len(cands) <= moore.BLOCK_CANDIDATES:
-                expected = tuple(sorted((*s, full) for s in suffixes(present, cands)))
+                expected = tuple(sorted((*s, full) for s in search_suffixes(present, cands)))
                 assert moore._block(memo, meets, full + 1, items, (full,),
                                     present, cands) == expected
                 seen += 1
         assert seen == 2377
         assert len(memo) < seen
+
+    def test_state_memo_is_sound(self):
+        """Every state of more than ``BLOCK_CANDIDATES`` and at most
+        ``STATE_CANDIDATES`` candidates the n = 4 search reaches, in search
+        order, walked through one memo shared by all of them, against a
+        memo-free listing of its subtree.  A state already stored is handed
+        out from its stored children, as a revisit in the search is, so a key
+        that confuses two states with different subtrees hands out the first
+        one's children for the second."""
+        full = 15
+        items = [(c,) for c in range(full)]
+        memo, meets, states = {}, {}, {}
+        seen = 0
+        for present, cands in search_states(0, list(range(full))):
+            if moore.BLOCK_CANDIDATES < len(cands) <= moore.STATE_CANDIDATES:
+                expected = sorted((*s, full) for s in search_suffixes(present, cands))
+                key = moore._state_key(meets, full + 1, present, cands)
+                children = (moore._stored(states, key) if key in states else
+                            moore._walk(memo, meets, states, full + 1, items, (full,),
+                                        present, cands, key))
+                assert sorted(prefix + s for prefix, block in
+                              moore._unfold(states, items, (full,), (), children)
+                              for s in block) == expected
+                assert key in states
+                seen += 1
+        assert seen == 77
+        assert len(states) < seen
+
+    def test_first_chunk_builds_one_block(self, monkeypatch):
+        """The stored children are recorded as the search walks, not ahead of
+        it: the first chunk of ``enumerate_record_texts(5)`` asks for one
+        block outside ``_block`` itself, the one block that a search without
+        stored states asks for."""
+        block = moore._block
+        depth, calls = [0], [0]
+
+        def counted(*args):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return block(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(moore, "_block", counted)
+        next(enumerate_record_texts(5))
+        assert calls[0] == 1
 
     def test_record_texts_keep_nothing_between_calls(self):
         """The block memo goes with each stream: a second pass builds as much
@@ -433,10 +483,83 @@ class TestPosets:
             target, lambda a, b: a <= b,
         )
 
+    def test_iso_matches_permutation_oracle(self):
+        """Posets and preorders with ties on k <= 6 elements, each against a
+        relabelled copy of itself (isomorphic) and against an independent
+        draw of the same size."""
+        rng = random.Random(21)
+        outcomes = collections.Counter()
+        for _ in range(300):
+            k = rng.randint(0, 6)
+            blocks = k if rng.random() < 0.5 else rng.randint(1, max(k, 1))
+            first = random_preorder(rng, k, blocks)
+            for rel in (_relabelled(rng, first), random_preorder(rng, k, blocks)):
+                expected = iso_by_permutations(*_matrix_order(first), *_matrix_order(rel))
+                assert poset_iso(*_matrix_order(first), *_matrix_order(rel)) == expected
+                outcomes[expected] += 1
+        assert outcomes[True] > 300 and outcomes[False] > 30
+
+    def test_iso_backtracks_past_equal_profiles(self):
+        """Two 6-element posets whose elements have the same up-set and
+        down-set sizes but which are not isomorphic: the profiles let every
+        relabelling through, and only the bijection search refuses it."""
+        first = _order_of(6, [(0, 1), (0, 2), (3, 1), (4, 1), (4, 3), (4, 5)])
+        second = _order_of(6, [(0, 3), (0, 4), (0, 5), (1, 5), (2, 1), (2, 5)])
+        profiles = [sorted(zip(map(sum, rel), map(sum, zip(*rel))))
+                    for rel in (first, second)]
+        assert profiles[0] == profiles[1]
+        rng = random.Random(21)
+        for _ in range(20):
+            moved = _relabelled(rng, second)
+            assert not iso_by_permutations(*_matrix_order(first), *_matrix_order(moved))
+            assert not poset_iso(*_matrix_order(first), *_matrix_order(moved))
+            assert poset_iso(*_matrix_order(second), *_matrix_order(moved))
+
+    def test_iso_calls_leq_once_per_ordered_pair(self):
+        """k(k - 1) calls to each order, each ordered pair of positions once,
+        and none when the sizes differ."""
+        elems = [1, 2, 3, 4, 6, 12, 5, 12]
+        calls = {1: [], 2: []}
+
+        def order(side):
+            def leq(a, b):
+                calls[side].append((a, b))
+                return b % a == 0
+            return leq
+
+        assert poset_iso(elems, order(1), elems[::-1], order(2))
+        for side in (1, 2):
+            assert sorted(calls[side]) == sorted(itertools.permutations(elems, 2))
+        calls = {1: [], 2: []}
+        assert not poset_iso(elems, order(1), elems[1:], order(2))
+        assert calls == {1: [], 2: []}
+
     def test_guard(self):
         big = list(range(201))
         with pytest.raises(GuardError):
             poset_iso(big, lambda a, b: a <= b, big, lambda a, b: a <= b)
+
+
+def _order_of(k, strict):
+    """The 0/1 matrix of the order on range(k) with the given pairs a < b,
+    which are already transitive."""
+    return [[a == b or (a, b) in strict for b in range(k)] for a in range(k)]
+
+
+def _relabelled(rng, rel):
+    """The same order on a random relabelling of its elements."""
+    k = len(rel)
+    label = rng.sample(range(k), k)
+    moved = [[False] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            moved[label[a]][label[b]] = rel[a][b]
+    return moved
+
+
+def _matrix_order(rel):
+    """Elements and ``leq`` of the order that a 0/1 matrix holds."""
+    return list(range(len(rel))), lambda a, b: rel[a][b]
 
 
 def _subsets(ground):
