@@ -6,8 +6,8 @@ member (it is the empty intersection).  One depth-first search walks every
 family on n points in canonical order: ``count_moore`` counts it through a
 memo, and ``enumerate_moore`` and ``enumerate_record_texts`` hand it out in
 memoised blocks of at most 16 families; a state of 5 or 6 candidates is
-kept as its list of children, so a revisit computes nothing.  No memo or text
-outlives a call.
+kept in the same memo as its list of children, so a revisit computes nothing.
+No memo or text outlives a call, and no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -204,7 +204,8 @@ def _searchable_full_set(n: int) -> int:
 #: 0.43-0.60 s, +2.1 MB; (4, 8) 0.49-0.68 s, +3.8 MB; (4, every state)
 #: 0.32-0.84 s, +5.3 MB.  Past 4 a block grows the memory faster than the
 #: time falls, and past 6 a stored state adds memory for no clear time.  At
-#: n = 5 the search keeps 1 335 blocks and 2 783 states.
+#: n = 5 the search keeps one memo of 4 117 entries: 1 334 blocks and 2 783
+#: stored states.
 BLOCK_CANDIDATES = 4
 STATE_CANDIDATES = 6
 
@@ -225,23 +226,26 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     candidates comes out as one block from ``_block``, built once per memo
     key.  A larger one is pushed on the stack: ``_walk`` lists its children
     lazily, and one of at most ``STATE_CANDIDATES`` candidates is stored as
-    that list, under the same key, once its last child has gone out, so a
-    revisit pushes the stored children and computes nothing.  The memos are
-    locals of the call, and the walks module-level functions, so nothing
-    outlives the call and no reference cycle holds a memo.
+    that list, a record, under its key once its last child has gone out, so
+    a revisit pushes the stored children and computes nothing.  Blocks and
+    records share one memo: a key's top bits are the candidate mask, of at
+    most ``BLOCK_CANDIDATES`` bits for a block and more for a record.  The
+    stack is explicit: ``yield from`` made the search about 40% slower.  The
+    tables are locals of the call, and the walks module-level functions, so
+    nothing outlives the call and no reference cycle holds a table.
     """
-    memo: Dict[int, Tuple[_T, ...]] = {}
-    states: Dict[int, Tuple] = {}
-    root = _walk(memo, {}, states, full + 1, items, last, 0, list(range(full)), None)
-    return _unfold(states, items, last, start, root)
+    memo: Dict[int, Tuple] = {}
+    root = _walk(memo, {}, full + 1, items, last, 0, list(range(full)), None)
+    return _unfold(memo, items, last, start, root)
 
 
-def _unfold(states: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
+def _unfold(memo: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
             children: Iterator[Tuple[int, object]]
             ) -> Iterator[Tuple[_T, Tuple[_T, ...]]]:
     """The pairs (prefix fold, block) at and below a state of the search,
     from the state's children as ``_walk`` gives them.  A stack frame holds a
-    prefix's fold and its children still to come."""
+    prefix's fold and its children still to come; a child given as a memo
+    key is read back from its stored record, one flat (c, child, ...) tuple."""
     stack = [(start, children)]
     while stack:
         fold, children = stack[-1]
@@ -250,7 +254,8 @@ def _unfold(states: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
                 yield fold + items[c], child
             else:
                 if child.__class__ is int:
-                    child = _stored(states, child)
+                    flat = iter(memo[child])
+                    child = zip(flat, flat)
                 stack.append((fold + items[c], child))
                 break
         else:
@@ -258,16 +263,9 @@ def _unfold(states: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
             yield fold, (last,)
 
 
-def _stored(states: Dict[int, Tuple], key: int) -> Iterator[Tuple[int, object]]:
-    """The children a walked state was stored as, under its memo key."""
-    flat = iter(states[key])
-    return zip(flat, flat)
-
-
-def _walk(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int],
-          states: Dict[int, Tuple], width: int, items: Sequence[_T], last: _T,
-          present: int, cands: List[int], key: Optional[int]
-          ) -> Iterator[Tuple[int, object]]:
+def _walk(memo: Dict[int, Tuple], meets: Dict[int, int], width: int,
+          items: Sequence[_T], last: _T, present: int, cands: List[int],
+          key: Optional[int]) -> Iterator[Tuple[int, object]]:
     """The children of a search state, in order, as pairs (piece index c,
     child): a prefix (bit s of ``present`` set iff s is in it) with ascending
     candidates ``cands`` adds a candidate c and keeps the later candidates d
@@ -275,9 +273,9 @@ def _walk(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int],
     ``_completions`` writes it again, for the reason given there.
 
     A child of at most ``BLOCK_CANDIDATES`` candidates is its block.  A larger
-    one is the memo key of its stored children, or a walk of it.  With a
+    one is the memo key of its stored record, or a walk of it.  With a
     ``key``, the pairs are recorded as they go out, in one flat tuple, and
-    stored under it in ``states`` after the last, so a first walk computes
+    stored under it in ``memo`` after the last, so a first walk computes
     nothing ahead of its children; a child is recorded by its block or key."""
     record = [] if key is not None else None
     for i, c in enumerate(cands):
@@ -293,10 +291,10 @@ def _walk(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int],
                      if len(rest) <= STATE_CANDIDATES else None)
         if record is not None:
             record += (c, child_key)
-        yield c, (child_key if child_key in states else
-                  _walk(memo, meets, states, width, items, last, grown, rest, child_key))
+        yield c, (child_key if child_key in memo else
+                  _walk(memo, meets, width, items, last, grown, rest, child_key))
     if record is not None:
-        states[key] = tuple(record)
+        memo[key] = tuple(record)
 
 
 def _pair_meets(cands: List[int]) -> int:
@@ -322,7 +320,7 @@ def _state_key(meets: Dict[int, int], width: int, present: int, cands: List[int]
     return mask << width | (relevant & present)
 
 
-def _block(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int], width: int,
+def _block(memo: Dict[int, Tuple], meets: Dict[int, int], width: int,
            items: Sequence[_T], last: _T, present: int, cands: List[int]
            ) -> Tuple[_T, ...]:
     """The suffix folds of every family at and below a state of
@@ -335,7 +333,7 @@ def _block(memo: Dict[int, Tuple[_T, ...]], meets: Dict[int, int], width: int,
     if block is None:
         # every child of a state this small is a block
         suffixes = [items[c] + s for c, child in
-                    _walk(memo, meets, None, width, items, last, present, cands, None)
+                    _walk(memo, meets, width, items, last, present, cands, None)
                     for s in child]
         suffixes.append(last)
         block = memo[key] = tuple(suffixes)
@@ -533,32 +531,33 @@ def poset_iso(
         [j for j in range(k) if prof2[j] == prof1[i]] for i in range(k)
     ]
     order = sorted(range(k), key=lambda i: len(candidates[i]))
-    image: Dict[int, int] = {}
-    used = [False] * k
+    return _extend(order, candidates, {}, [False] * k, up1, down1, up2, down2)
 
-    def extend(pos: int) -> bool:
-        if pos == k:
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2, j2 in image.items():
-                if (up1[i] >> i2 & 1 != up2[j] >> j2 & 1
-                        or down1[i] >> i2 & 1 != down2[j] >> j2 & 1):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if extend(pos + 1):
-                    return True
-                del image[i]
-                used[j] = False
-        return False
 
-    return extend(0)
+def _extend(order: List[int], candidates: List[List[int]], image: Dict[int, int],
+            used: List[bool], up1: List[int], down1: List[int], up2: List[int],
+            down2: List[int]) -> bool:
+    """Does ``image``, one-to-one from the first len(image) elements of
+    ``order`` onto the ``used`` ones, extend to all of ``order``?  A
+    module-level function, not a closure, for the reason in ``_completions``."""
+    if len(image) == len(order):
+        return True
+    i = order[len(image)]
+    for j in candidates[i]:
+        if used[j]:
+            continue
+        for i2, j2 in image.items():
+            if (up1[i] >> i2 & 1 != up2[j] >> j2 & 1
+                    or down1[i] >> i2 & 1 != down2[j] >> j2 & 1):
+                break
+        else:
+            image[i] = j
+            used[j] = True
+            if _extend(order, candidates, image, used, up1, down1, up2, down2):
+                return True
+            del image[i]
+            used[j] = False
+    return False
 
 
 def hasse_dot(labels: Sequence[str], edges: Iterable[Tuple[int, int]]) -> str:

@@ -31,6 +31,7 @@ from .moore import (
     family_from_record,
     family_join,
     family_meet,
+    guard_ground_set,
     indices_of,
     is_principal_upfilter,
     mask_of,
@@ -141,12 +142,10 @@ def v_of(j: ModuleVector) -> Star:
     """Divisorial closure with respect to the module with vector j.
 
     When the inner colon is the zero module the outer colon is taken to be
-    the whole quotient field; with that convention the star is classified by
-    the family generated by j's +inf support.
-    """
+    the whole quotient field; with that convention the star's family is the
+    support family of the closure of j alone, ``dagger_supports([j])``."""
     j = _require_nonzero(j)
-    family = moore_generate({_support_mask(j)}, j.n)
-    return Star(j.primes, family)
+    return Star(j.primes, dagger_supports([j], j.primes))
 
 
 def v_apply_by_colon(j: ValVector, f: ValVector) -> ValVector:
@@ -173,6 +172,7 @@ def d_of_overring(primes: Sequence[Hashable], localized_at: Iterable[int]) -> St
     n = len(primes)
     if n < 1:
         raise SpectrumError("empty spectrum: the ring would be a field")
+    guard_ground_set(n)  # as on every other path that builds a family
     x_mask = mask_of(localized_at, n)
     if bin(x_mask).count("1") > D_OF_GUARD:
         raise GuardError(f"overring star on more than {D_OF_GUARD} localized primes")

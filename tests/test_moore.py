@@ -217,12 +217,32 @@ class TestEnumeration:
         for n in (1, 2, 3, 4):
             assert count_moore(n) == sum(1 for _ in enumerate_moore(n))
 
-    def test_count_leaves_no_garbage_cycle(self):
-        """A cycle would keep the counter's memo alive until a collection."""
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: count_moore(4), id="count_moore"),
+        pytest.param(lambda: collections.deque(enumerate_moore(4), maxlen=0),
+                     id="enumerate_moore"),
+        pytest.param(lambda: collections.deque(enumerate_record_texts(4), maxlen=0),
+                     id="enumerate_record_texts"),
+        pytest.param(lambda: next(enumerate_record_texts(5)), id="first_record_text"),
+        pytest.param(lambda: moore_generate({0b0011, 0b0110, 0b1100}, 4),
+                     id="moore_generate"),
+        pytest.param(lambda: family_join(*_some_families(2)), id="family_join"),
+        pytest.param(lambda: family_meet(*_some_families(2)), id="family_meet"),
+        pytest.param(lambda: hasse(_some_families(16), _family_leq), id="hasse"),
+        pytest.param(lambda: poset_iso(_some_families(16), _family_leq,
+                                       _some_families(16)[::-1], _family_leq),
+                     id="poset_iso-isomorphic"),
+        pytest.param(lambda: poset_iso(*_matrix_order(_EQUAL_PROFILES[0]),
+                                       *_matrix_order(_EQUAL_PROFILES[1])),
+                     id="poset_iso-equal-profiles"),
+    ])
+    def test_count_leaves_no_garbage_cycle(self, call):
+        """A cycle would keep a call's memo or search state alive until a
+        collection."""
         gc.collect()
         gc.disable()
         try:
-            count_moore(4)
+            call()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -261,52 +281,53 @@ class TestEnumeration:
             seen += 1
         assert seen == KNOWN_COUNTS[4]
 
-    def test_block_memo_is_sound(self):
-        """Every state of at most ``BLOCK_CANDIDATES`` candidates the n = 4
-        search reaches, in search order, built through one memo shared by all
-        of them, against a memo-free listing of its subtree: the members each
-        family at and below it adds, plus the full set, sorted.  A key that
-        confuses two states with different subtrees returns the first one's
-        block for the second."""
+    def test_search_memo_is_sound(self):
+        """Every state of at most ``STATE_CANDIDATES`` candidates the n = 4
+        search reaches, in search order, through one memo shared by all of
+        them, as the search shares it, against a memo-free listing of its
+        subtree: the members each family at and below it adds, plus the full
+        set, in canonical order.  A state of at most ``BLOCK_CANDIDATES`` is
+        built as its block; a larger one is walked, or handed out from its
+        stored record once it has one, as a revisit in the search is.  A key
+        that confuses two states with different subtrees hands out the first
+        one's block or children for the second, and one that confuses a block
+        with a record hands out the wrong kind."""
         full = 15
+        width = full + 1
         items = [(c,) for c in range(full)]
         memo, meets = {}, {}
-        seen = 0
+        seen = collections.Counter()
         for present, cands in search_states(0, list(range(full))):
+            if len(cands) > moore.STATE_CANDIDATES:
+                continue
+            expected = tuple(sorted((*s, full) for s in search_suffixes(present, cands)))
+            key = moore._state_key(meets, width, present, cands)
             if len(cands) <= moore.BLOCK_CANDIDATES:
-                expected = tuple(sorted((*s, full) for s in search_suffixes(present, cands)))
-                assert moore._block(memo, meets, full + 1, items, (full,),
+                assert moore._block(memo, meets, width, items, (full,),
                                     present, cands) == expected
-                seen += 1
-        assert seen == 2377
-        assert len(memo) < seen
-
-    def test_state_memo_is_sound(self):
-        """Every state of more than ``BLOCK_CANDIDATES`` and at most
-        ``STATE_CANDIDATES`` candidates the n = 4 search reaches, in search
-        order, walked through one memo shared by all of them, against a
-        memo-free listing of its subtree.  A state already stored is handed
-        out from its stored children, as a revisit in the search is, so a key
-        that confuses two states with different subtrees hands out the first
-        one's children for the second."""
-        full = 15
-        items = [(c,) for c in range(full)]
-        memo, meets, states = {}, {}, {}
-        seen = 0
-        for present, cands in search_states(0, list(range(full))):
-            if moore.BLOCK_CANDIDATES < len(cands) <= moore.STATE_CANDIDATES:
-                expected = sorted((*s, full) for s in search_suffixes(present, cands))
-                key = moore._state_key(meets, full + 1, present, cands)
-                children = (moore._stored(states, key) if key in states else
-                            moore._walk(memo, meets, states, full + 1, items, (full,),
-                                        present, cands, key))
-                assert sorted(prefix + s for prefix, block in
-                              moore._unfold(states, items, (full,), (), children)
-                              for s in block) == expected
-                assert key in states
-                seen += 1
-        assert seen == 77
-        assert len(states) < seen
+                seen["block"] += 1
+            else:
+                if key in memo:
+                    flat = iter(memo[key])
+                    children = zip(flat, flat)
+                else:
+                    children = moore._walk(memo, meets, width, items, (full,),
+                                           present, cands, key)
+                assert tuple(prefix + s for prefix, block in
+                             moore._unfold(memo, items, (full,), (), children)
+                             for s in block) == expected
+                seen["record"] += 1
+            assert key in memo
+        assert seen == {"block": 2377, "record": 77}
+        assert len(memo) < sum(seen.values())
+        for key, value in memo.items():
+            if (key >> width).bit_count() <= moore.BLOCK_CANDIDATES:
+                assert all(s.__class__ is tuple and s[-1] == full for s in value)
+            else:
+                assert len(value) % 2 == 0
+                assert all(c.__class__ is int for c in value[::2])
+                assert all(child.__class__ is not int or child in memo
+                           for child in value[1::2])
 
     def test_first_chunk_builds_one_block(self, monkeypatch):
         """The stored children are recorded as the search walks, not ahead of
@@ -503,8 +524,7 @@ class TestPosets:
         """Two 6-element posets whose elements have the same up-set and
         down-set sizes but which are not isomorphic: the profiles let every
         relabelling through, and only the bijection search refuses it."""
-        first = _order_of(6, [(0, 1), (0, 2), (3, 1), (4, 1), (4, 3), (4, 5)])
-        second = _order_of(6, [(0, 3), (0, 4), (0, 5), (1, 5), (2, 1), (2, 5)])
+        first, second = _EQUAL_PROFILES
         profiles = [sorted(zip(map(sum, rel), map(sum, zip(*rel))))
                     for rel in (first, second)]
         assert profiles[0] == profiles[1]
@@ -544,6 +564,22 @@ def _order_of(k, strict):
     """The 0/1 matrix of the order on range(k) with the given pairs a < b,
     which are already transitive."""
     return [[a == b or (a, b) in strict for b in range(k)] for a in range(k)]
+
+
+#: Two 6-element posets with the same up-set and down-set size profiles that
+#: are not isomorphic.
+_EQUAL_PROFILES = (
+    _order_of(6, [(0, 1), (0, 2), (3, 1), (4, 1), (4, 3), (4, 5)]),
+    _order_of(6, [(0, 3), (0, 4), (0, 5), (1, 5), (2, 1), (2, 5)]))
+
+
+def _some_families(k):
+    """The first k families on 3 points, in canonical order."""
+    return list(itertools.islice(enumerate_moore(3), k))
+
+
+def _family_leq(a, b):
+    return a.member_set >= b.member_set
 
 
 def _relabelled(rng, rel):

@@ -23,6 +23,7 @@ from dedstar.extvec import (
     vec_mul,
 )
 from dedstar.moore import (
+    GROUND_SET_GUARD,
     GuardError,
     MooreFamily,
     enumerate_moore,
@@ -327,6 +328,24 @@ class TestDivisorial:
             for f in windowed_vectors(P2, 2):
                 assert apply(s, f) == v_apply_by_colon(j, f)
 
+    def test_v_stars_are_daggers_of_at_most_two_members(self):
+        """Over the 84 window vectors j (bound 1) for n = 1..3, v_of(j) has
+        the support family of the closure of j alone, and the v-families are
+        exactly the 2^n families of at most 2 members."""
+        seen = 0
+        for n in (1, 2, 3):
+            primes = default_primes(n)
+            families = set()
+            for j in windowed_vectors(primes, 1):
+                family = v_of(j).family
+                assert family == dagger_supports([j], primes)
+                families.add(family)
+                seen += 1
+            small = {f for f in enumerate_moore(n) if len(f.members) <= 2}
+            assert families == small
+            assert len(small) == 2 ** n
+        assert seen == 84
+
     def test_outer_colon_never_vanishes(self):
         """A nonzero (j : f) is +inf exactly where j is, so the outer colon
         (j : (j : f)) is never the zero module."""
@@ -373,6 +392,13 @@ class TestOverringStars:
         assert len(d_of_overring(default_primes(20), range(14)).family.members) == 1 << 14
         with pytest.raises(SpectrumError):
             d_of_overring((), [])
+
+    def test_ground_set_guard(self):
+        """The guard of every other path that builds a family: a star on 65
+        points is refused, not built."""
+        with pytest.raises(GuardError):
+            d_of_overring(default_primes(GROUND_SET_GUARD + 1), [0])
+        assert d_of_overring(default_primes(GROUND_SET_GUARD), [0]).n == GROUND_SET_GUARD
 
     def test_pairwise_distinct_and_order_reversing(self):
         all_x = [set(c) for k in range(3) for c in itertools.combinations(range(2), k)]
