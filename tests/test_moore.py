@@ -281,17 +281,38 @@ class TestEnumeration:
             seen += 1
         assert seen == KNOWN_COUNTS[4]
 
-    def test_search_memo_is_sound(self):
+    def test_block_memo_is_sound(self):
+        """Every state of at most ``BLOCK_CANDIDATES`` candidates the n = 4
+        search reaches, in search order, built through one memo shared by all
+        of them, against a memo-free listing of its subtree: the members each
+        family at and below it adds, plus the full set, in canonical order.  A
+        key that confuses two states with different subtrees returns the first
+        one's block for the second."""
+        full = 15
+        items = [(c,) for c in range(full)]
+        memo, meets = {}, {}
+        seen = 0
+        for present, cands in search_states(0, list(range(full))):
+            if len(cands) <= moore.BLOCK_CANDIDATES:
+                expected = tuple(sorted((*s, full) for s in search_suffixes(present, cands)))
+                assert moore._block(memo, meets, full + 1, items, (full,),
+                                    present, cands) == expected
+                seen += 1
+        assert seen == 2377
+        assert len(memo) < seen
+        assert all(all(s.__class__ is tuple and s[-1] == full for s in value)
+                   for value in memo.values())
+
+    def test_state_memo_is_sound(self):
         """Every state of at most ``STATE_CANDIDATES`` candidates the n = 4
         search reaches, in search order, through one memo shared by all of
-        them, as the search shares it, against a memo-free listing of its
-        subtree: the members each family at and below it adds, plus the full
-        set, in canonical order.  A state of at most ``BLOCK_CANDIDATES`` is
-        built as its block; a larger one is walked, or handed out from its
-        stored record once it has one, as a revisit in the search is.  A key
-        that confuses two states with different subtrees hands out the first
-        one's block or children for the second, and one that confuses a block
-        with a record hands out the wrong kind."""
+        them, as the search shares it between blocks and stored records,
+        against a memo-free listing of its subtree.  A state of at most
+        ``BLOCK_CANDIDATES`` is built as its block; a larger one is walked, or
+        handed out from its stored record once it has one, as a revisit in the
+        search is.  A key that confuses two states with different subtrees
+        hands out the first one's block or children for the second, and one
+        that confuses a block with a record hands out the wrong kind."""
         full = 15
         width = full + 1
         items = [(c,) for c in range(full)]
