@@ -99,8 +99,6 @@ def parse_vector_inline(text: str):
 
 
 def format_vector(f) -> str:
-    if f is ZERO:
-        return "ZERO"
     tokens = ["inf" if e is POS_INF else str(e) for e in f.entries]
     return "(" + ",".join(tokens) + ")"
 

@@ -6,7 +6,8 @@ member (it is the empty intersection).  One depth-first search walks every
 family on n points in canonical order: ``count_moore`` counts it through a
 memo, and ``enumerate_moore`` and ``enumerate_record_texts`` hand it out in
 memoised blocks of at most 16 families; a state of 5 or 6 candidates is
-kept in the same memo as its list of children, so a revisit computes nothing.
+kept in the same memo as the list of its children, each a block or a kept
+list, so a revisit computes nothing.  Only ``_walk`` reads or writes it.
 No memo or text outlives a call, and no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
@@ -75,7 +76,9 @@ def _intersection_closure(subsets: Set[int], n: int, limit: int) -> Optional[Set
     and a fold at most doubles it, so the check after each fold refuses exactly
     the larger closures and keeps the set below twice ``limit``.  A fold visits
     every member so far, and past ``FOLD_WORK_GUARD`` visits in all the
-    closure is refused with ``GuardError``."""
+    closure is refused with ``GuardError``, as is a ground set past
+    ``GROUND_SET_GUARD``, before any fold."""
+    guard_ground_set(n)
     full = (1 << n) - 1
     ordered = sorted(subsets, reverse=True)
     if ordered and not (ordered[0] <= full and ordered[-1] >= 0):
@@ -222,30 +225,25 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
     all p in P gives a child P + [c], whose candidates are P's after c with
     d & c in P + [c].  So P + [full] is a family, and P, yielded after its
-    children, sorts after theirs.  A child with at most ``BLOCK_CANDIDATES``
-    candidates comes out as one block from ``_block``, built once per memo
-    key.  A larger one is pushed on the stack: ``_walk`` lists its children
-    lazily, and one of at most ``STATE_CANDIDATES`` candidates is stored as
-    that list, a record, under its key once its last child has gone out, so
-    a revisit pushes the stored children and computes nothing.  Blocks and
-    records share one memo: a key's top bits are the candidate mask, of at
-    most ``BLOCK_CANDIDATES`` bits for a block and more for a record.  The
+    children, sorts after theirs.  ``_walk`` lists a state's children, each
+    a block, a kept list of its own children or a walk, and is the one reader
+    and writer of the call's memo; ``_unfold`` turns them into blocks.  Its
     stack is explicit: ``yield from`` made the search about 40% slower.  The
-    tables are locals of the call, and the walks module-level functions, so
-    nothing outlives the call and no reference cycle holds a table.
+    memo is a local of the call, and the walks module-level functions, so
+    nothing outlives the call and no reference cycle holds it.
     """
-    memo: Dict[int, Tuple] = {}
-    root = _walk(memo, {}, full + 1, items, last, 0, list(range(full)), None)
-    return _unfold(memo, items, last, start, root)
+    root = _walk({}, {}, full + 1, items, last, 0, list(range(full)), None)
+    return _unfold(items, last, start, root)
 
 
-def _unfold(memo: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
+def _unfold(items: Sequence[_T], last: _T, start: _T,
             children: Iterator[Tuple[int, object]]
             ) -> Iterator[Tuple[_T, Tuple[_T, ...]]]:
     """The pairs (prefix fold, block) at and below a state of the search,
     from the state's children as ``_walk`` gives them.  A stack frame holds a
-    prefix's fold and its children still to come; a child given as a memo
-    key is read back from its stored record, one flat (c, child, ...) tuple."""
+    prefix's fold and its children still to come: a block is yielded, a kept
+    list is replayed as its flat (c, child, ...) pairs, and a walk is read as
+    it goes."""
     stack = [(start, children)]
     while stack:
         fold, children = stack[-1]
@@ -253,8 +251,8 @@ def _unfold(memo: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
             if child.__class__ is tuple:
                 yield fold + items[c], child
             else:
-                if child.__class__ is int:
-                    flat = iter(memo[child])
+                if child.__class__ is list:
+                    flat = iter(child)
                     child = zip(flat, flat)
                 stack.append((fold + items[c], child))
                 break
@@ -263,38 +261,46 @@ def _unfold(memo: Dict[int, Tuple], items: Sequence[_T], last: _T, start: _T,
             yield fold, (last,)
 
 
-def _walk(memo: Dict[int, Tuple], meets: Dict[int, int], width: int,
+def _walk(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
           items: Sequence[_T], last: _T, present: int, cands: List[int],
-          key: Optional[int]) -> Iterator[Tuple[int, object]]:
+          record: Optional[List]) -> Iterator[Tuple[int, object]]:
     """The children of a search state, in order, as pairs (piece index c,
     child): a prefix (bit s of ``present`` set iff s is in it) with ascending
     candidates ``cands`` adds a candidate c and keeps the later candidates d
     with d & c in the grown prefix.  The search writes that rule only here;
     ``_completions`` writes it again, for the reason given there.
 
-    A child of at most ``BLOCK_CANDIDATES`` candidates is its block.  A larger
-    one is the memo key of its stored record, or a walk of it.  With a
-    ``key``, the pairs are recorded as they go out, in one flat tuple, and
-    stored under it in ``memo`` after the last, so a first walk computes
-    nothing ahead of its children; a child is recorded by its block or key."""
-    record = [] if key is not None else None
+    The one reader and writer of the search's ``memo``, keyed by
+    ``_state_key``.  A child of no candidates is the block ``(last,)``; one of
+    at most ``BLOCK_CANDIDATES`` is its block, built by ``_block`` on a miss;
+    one of at most ``STATE_CANDIDATES`` is its kept list or, on a miss, a walk
+    that fills a new list kept at once; a larger one is a walk and no more.
+    Given a ``record`` list, the pairs go into it flat as they go out, each
+    child as its block or list, so a first walk computes nothing ahead of its
+    children.  Keeping a list before its walk ends is safe: a state below
+    another has fewer candidates, so other top bits in its key, and a key
+    never comes up in its own subtree.  No list is replayed unfinished, and
+    none holds itself, which would make ``_unfold`` loop forever."""
     for i, c in enumerate(cands):
         grown = present | 1 << c
         rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
-        if len(rest) <= BLOCK_CANDIDATES:
-            child = _block(memo, meets, width, items, last, grown, rest) if rest else (last,)
-            if record is not None:
-                record += (c, child)
-            yield c, child
-            continue
-        child_key = (_state_key(meets, width, grown, rest)
-                     if len(rest) <= STATE_CANDIDATES else None)
+        walk = None
+        if not rest:
+            child = (last,)
+        elif len(rest) > STATE_CANDIDATES:  # never a child of a recorded state
+            child = _walk(memo, meets, width, items, last, grown, rest, None)
+        else:
+            key = _state_key(meets, width, grown, rest)
+            child = memo.get(key)
+            if child is None:
+                if len(rest) <= BLOCK_CANDIDATES:
+                    child = memo[key] = _block(memo, meets, width, items, last, grown, rest)
+                else:
+                    child = memo[key] = []
+                    walk = _walk(memo, meets, width, items, last, grown, rest, child)
         if record is not None:
-            record += (c, child_key)
-        yield c, (child_key if child_key in memo else
-                  _walk(memo, meets, width, items, last, grown, rest, child_key))
-    if record is not None:
-        memo[key] = tuple(record)
+            record += (c, child)
+        yield c, walk or child
 
 
 def _pair_meets(cands: List[int]) -> int:
@@ -320,24 +326,19 @@ def _state_key(meets: Dict[int, int], width: int, present: int, cands: List[int]
     return mask << width | (relevant & present)
 
 
-def _block(memo: Dict[int, Tuple], meets: Dict[int, int], width: int,
+def _block(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
            items: Sequence[_T], last: _T, present: int, cands: List[int]
            ) -> Tuple[_T, ...]:
     """The suffix folds of every family at and below a state of
     ``_closed_blocks``' search, in canonical order: a prefix (bit s of
     ``present`` set iff s is in it) and its ascending candidates ``cands``.
-    Memoised on ``_completions``' key, which fixes the subtree below the
-    state; a module-level function for the reason given there."""
-    key = _state_key(meets, width, present, cands)
-    block = memo.get(key)
-    if block is None:
-        # every child of a state this small is a block
-        suffixes = [items[c] + s for c, child in
-                    _walk(memo, meets, width, items, last, present, cands, None)
-                    for s in child]
-        suffixes.append(last)
-        block = memo[key] = tuple(suffixes)
-    return block
+    Only builds; ``_walk`` looks the block up and keeps it, and also
+    memoises the state's children, every one of which is a block."""
+    suffixes = [items[c] + s for c, child in
+                _walk(memo, meets, width, items, last, present, cands, None)
+                for s in child]
+    suffixes.append(last)
+    return tuple(suffixes)
 
 
 def _completions(memo: Dict[int, int], meets: Dict[int, int], width: int,

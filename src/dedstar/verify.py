@@ -22,26 +22,26 @@ AXIOM_MAX_N = 4
 MAX_TRIALS = 10000
 
 
-def random_vector(rng: random.Random, primes, lo: int = -10, hi: int = 10,
-                  inf_chance: float = 0.3) -> ValVector:
-    """Entries uniform in lo..hi, each +inf with probability inf_chance."""
+def random_vector(rng: random.Random, primes) -> ValVector:
+    """Entries uniform in -10..10, each +inf with probability 0.3."""
     entries = tuple(
-        POS_INF if rng.random() < inf_chance else rng.randint(lo, hi)
+        POS_INF if rng.random() < 0.3 else rng.randint(-10, 10)
         for _ in primes
     )
     return ValVector(tuple(primes), entries)
 
 
-def random_frac_spec(rng: random.Random, primes=(2, 3, 5), max_gens: int = 3,
-                     exponent_bound: int = 5) -> rationals.FracIdealSpec:
-    """Random finitely generated module with generators supported on primes."""
+def random_frac_spec(rng: random.Random) -> rationals.FracIdealSpec:
+    """Random module of 1 to 3 generators, each a product of 2, 3 and 5 to
+    exponents in -5..5."""
+    primes = (2, 3, 5)
     gens = []
-    for _ in range(rng.randint(1, max_gens)):
+    for _ in range(rng.randint(1, 3)):
         g = Fraction(1)
         for p in primes:
-            g *= Fraction(p) ** rng.randint(-exponent_bound, exponent_bound)
+            g *= Fraction(p) ** rng.randint(-5, 5)
         gens.append(g)
-    return rationals.FracIdealSpec(tuple(primes), tuple(gens))
+    return rationals.FracIdealSpec(primes, tuple(gens))
 
 
 def _largest_first(max_n: int) -> Dict[int, int]:

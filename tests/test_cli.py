@@ -598,6 +598,23 @@ class TestHasse:
         assert code == 4 and out == ""
         assert "Traceback" not in err
 
+    def test_star_file_duplicate_primes(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"primes":[2,2],"family":{"n":2,"members":[[0,1]]}}')
+        code, out, err = run(capsys, "hasse", "--star-file", str(path))
+        assert code == 4 and out == ""
+        assert "duplicate primes" in err
+
+    def test_star_file_count_guard(self, capsys, tmp_path):
+        """200 star files are drawn; one more is refused."""
+        path = tmp_path / "s.json"
+        path.write_text('{"primes":[2],"family":{"n":1,"members":[[0]]}}')
+        code, out, _ = run(capsys, "hasse", *["--star-file", str(path)] * 200)
+        assert code == 0 and out.count("[label=") == 200
+        code, out, err = run(capsys, "hasse", *["--star-file", str(path)] * 201)
+        assert code == 2 and out == ""
+        assert err == "refused: more than 200 stars\n"
+
     def test_star_file_primes_must_be_a_list(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"primes":"ab","family":{"n":2,"members":[[0,1]]}}')

@@ -45,25 +45,52 @@ def powerset_family(n):
     return MooreFamily(n, tuple(range(1 << n)))
 
 
+def search_children(present, cands):
+    """Each child of a search state, in order, as (added candidate c, grown
+    prefix, the child's candidates)."""
+    for i, c in enumerate(cands):
+        grown = present | 1 << c
+        yield c, grown, [d for d in cands[i + 1:] if grown >> (d & c) & 1]
+
+
 def search_states(present, cands):
     """Every state of the family search at and below a prefix (bit s of
     ``present`` set iff s is in it) with ascending candidates ``cands``."""
     yield present, cands
-    for i, c in enumerate(cands):
-        grown = present | 1 << c
-        yield from search_states(grown, [d for d in cands[i + 1:]
-                                         if grown >> (d & c) & 1])
+    for _, grown, rest in search_children(present, cands):
+        yield from search_states(grown, rest)
 
 
 def search_suffixes(present, cands):
     """The members that each family at and below a state of the search adds
     to its prefix, without a memo."""
     yield ()
-    for i, c in enumerate(cands):
-        grown = present | 1 << c
-        for rest in search_suffixes(grown, [d for d in cands[i + 1:]
-                                            if grown >> (d & c) & 1]):
-            yield (c, *rest)
+    for c, grown, rest in search_children(present, cands):
+        for suffix in search_suffixes(grown, rest):
+            yield (c, *suffix)
+
+
+def walked_children(memo, full):
+    """Every child that ``_walk`` hands out, for every state of the search on
+    ``full`` proper subsets in search order, through one ``memo`` shared by
+    all of them, as (its grown prefix, its candidates, the child as handed
+    out, the families at and below it as ``_unfold`` lists them, their
+    memo-free listing in canonical order).  A family is listed as c, the
+    members it adds below the child, and the full set.  Each child is
+    unfolded, so every walk is read to its end before the next child."""
+    items = [(c,) for c in range(full)]
+    meets = {}
+    for present, cands in search_states(0, list(range(full))):
+        walk = moore._walk(memo, meets, full + 1, items, (full,), present, cands, None)
+        for (c, child), (c_, grown, rest) in zip(walk, search_children(present, cands),
+                                                 strict=True):
+            assert c == c_
+            listed = [prefix + s for prefix, block in
+                      moore._unfold(items, (full,), (), iter([(c, child)]))
+                      for s in block]
+            assert listed.pop() == (full,)  # the state itself closes the listing
+            expected = sorted((c, *s, full) for s in search_suffixes(grown, rest))
+            yield grown, rest, child, listed, expected
 
 
 class TestIsMoore:
@@ -78,6 +105,20 @@ class TestIsMoore:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             is_moore({0b100}, 2)
+
+    def test_ground_set_guard(self):
+        """Refused before the fold builds the full set."""
+        n = GROUND_SET_GUARD + 1
+        with pytest.raises(GuardError):
+            is_moore({(1 << n) - 1}, n)
+
+    @pytest.mark.parametrize("n, members, message", [
+        (0, (0,), "nonempty"),
+        (2, (0b11, 0b01), "ascending"),
+    ], ids=["empty-ground-set", "descending"])
+    def test_family_refused(self, n, members, message):
+        with pytest.raises(ValueError, match=message):
+            MooreFamily(n, members)
 
     def test_fold_work_budget(self, monkeypatch):
         """The power set of 6 points folds only its 6 coatoms, which visit 1,
@@ -103,6 +144,21 @@ class TestGenerate:
         for fam in enumerate_moore(3):
             assert moore_generate(set(fam.members), 3) == fam
 
+    def test_ground_set_guard_before_the_fold(self):
+        """12 coatoms of 20 000 points close to 4 096 members of 20 000 bits,
+        over 10 MB; the guard refuses them before the first fold."""
+        n = 20000
+        full = (1 << n) - 1
+        coatoms = {full ^ 1 << i for i in range(12)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError):
+                moore_generate(coatoms, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_pairwise_closure_on_every_input(self, n):
         """Every set of subsets: 4, 16 and 256 inputs for n = 1, 2, 3."""
@@ -124,6 +180,9 @@ class TestClosure:
         full = powerset_family(2)
         for x in range(4):
             assert closure(full, x) == x
+        for mask in (-1, 0b100):
+            with pytest.raises(ValueError, match="out of range"):
+                closure(fam, mask)
 
     def test_closure_axioms_exhaustive_small(self):
         for n in (1, 2, 3):
@@ -282,73 +341,86 @@ class TestEnumeration:
         assert seen == KNOWN_COUNTS[4]
 
     def test_block_memo_is_sound(self):
-        """Every state of at most ``BLOCK_CANDIDATES`` candidates the n = 4
-        search reaches, in search order, built through one memo shared by all
-        of them, against a memo-free listing of its subtree: the members each
-        family at and below it adds, plus the full set, in canonical order.  A
-        key that confuses two states with different subtrees returns the first
-        one's block for the second."""
+        """The children of every state the n = 4 search reaches, in search
+        order, handed out by ``_walk`` through one memo shared by all of
+        them.  Each child of at most ``BLOCK_CANDIDATES`` candidates comes
+        out as its block, which must be a memo-free listing of its subtree:
+        the members each family at and below it adds, plus the full set, in
+        canonical order.  A key that confuses two states with different
+        subtrees hands out the first one's block for the second."""
         full = 15
-        items = [(c,) for c in range(full)]
-        memo, meets = {}, {}
+        memo = {}
         seen = 0
-        for present, cands in search_states(0, list(range(full))):
-            if len(cands) <= moore.BLOCK_CANDIDATES:
-                expected = tuple(sorted((*s, full) for s in search_suffixes(present, cands)))
-                assert moore._block(memo, meets, full + 1, items, (full,),
-                                    present, cands) == expected
+        for _, rest, child, _, expected in walked_children(memo, full):
+            if len(rest) <= moore.BLOCK_CANDIDATES:
+                assert child.__class__ is tuple
+                assert child == tuple(s[1:] for s in expected)
                 seen += 1
         assert seen == 2377
         assert len(memo) < seen
         assert all(all(s.__class__ is tuple and s[-1] == full for s in value)
-                   for value in memo.values())
+                   for value in memo.values() if value.__class__ is tuple)
 
     def test_state_memo_is_sound(self):
-        """Every state of at most ``STATE_CANDIDATES`` candidates the n = 4
-        search reaches, in search order, through one memo shared by all of
-        them, as the search shares it between blocks and stored records,
-        against a memo-free listing of its subtree.  A state of at most
-        ``BLOCK_CANDIDATES`` is built as its block; a larger one is walked, or
-        handed out from its stored record once it has one, as a revisit in the
-        search is.  A key that confuses two states with different subtrees
-        hands out the first one's block or children for the second, and one
-        that confuses a block with a record hands out the wrong kind."""
+        """The children of every state the n = 4 search reaches, in search
+        order, handed out by ``_walk`` through one memo shared by all of
+        them, as the search shares it between blocks and kept lists, against
+        a memo-free listing of each child's subtree.  A child of 1 to
+        ``BLOCK_CANDIDATES`` candidates is its kept block; a larger one of at
+        most ``STATE_CANDIDATES`` is walked into a new kept list, or handed
+        out as its kept list once it has one, as a revisit in the search is.
+        A key that confuses two states with different subtrees hands out the
+        first one's block or children for the second, and one that confuses
+        a block with a list hands out the wrong kind."""
         full = 15
         width = full + 1
-        items = [(c,) for c in range(full)]
-        memo, meets = {}, {}
+        memo = {}
         seen = collections.Counter()
-        for present, cands in search_states(0, list(range(full))):
-            if len(cands) > moore.STATE_CANDIDATES:
+        for grown, rest, child, listed, expected in walked_children(memo, full):
+            assert listed == expected
+            if not rest or len(rest) > moore.STATE_CANDIDATES:
                 continue
-            expected = tuple(sorted((*s, full) for s in search_suffixes(present, cands)))
-            key = moore._state_key(meets, width, present, cands)
-            if len(cands) <= moore.BLOCK_CANDIDATES:
-                assert moore._block(memo, meets, width, items, (full,),
-                                    present, cands) == expected
-                seen["block"] += 1
-            else:
-                if key in memo:
-                    flat = iter(memo[key])
-                    children = zip(flat, flat)
-                else:
-                    children = moore._walk(memo, meets, width, items, (full,),
-                                           present, cands, key)
-                assert tuple(prefix + s for prefix, block in
-                             moore._unfold(memo, items, (full,), (), children)
-                             for s in block) == expected
-                seen["record"] += 1
+            key = moore._state_key({}, width, grown, rest)
             assert key in memo
-        assert seen == {"block": 2377, "record": 77}
+            if len(rest) <= moore.BLOCK_CANDIDATES:
+                assert child is memo[key]
+                seen["block"] += 1
+            elif child.__class__ is list:
+                assert child is memo[key]
+                seen["replayed"] += 1
+            else:
+                assert isinstance(child, types.GeneratorType)
+                seen["walked"] += 1
+        assert seen == {"block": 1010, "replayed": 74, "walked": 3}
         assert len(memo) < sum(seen.values())
+        kept = {id(value) for value in memo.values()}
         for key, value in memo.items():
             if (key >> width).bit_count() <= moore.BLOCK_CANDIDATES:
+                assert value.__class__ is tuple
                 assert all(s.__class__ is tuple and s[-1] == full for s in value)
             else:
-                assert len(value) % 2 == 0
+                assert value.__class__ is list and len(value) % 2 == 0
                 assert all(c.__class__ is int for c in value[::2])
-                assert all(child.__class__ is not int or child in memo
+                assert all(child.__class__ is tuple or id(child) in kept
                            for child in value[1::2])
+
+    def test_memo_census(self, monkeypatch):
+        """``enumerate_record_texts(4)`` keeps one memo, seen through every
+        ``_walk`` call, of 97 blocks and 39 kept lists, and writes 669
+        chunks: a search change that stops reusing states fails here."""
+        walk = moore._walk
+        memos = []
+
+        def watched(memo, *args):
+            memos.append(memo)
+            return walk(memo, *args)
+
+        monkeypatch.setattr(moore, "_walk", watched)
+        chunks = sum(1 for _ in enumerate_record_texts(4))
+        memo = memos[0]
+        assert all(m is memo for m in memos)
+        kinds = collections.Counter(value.__class__ for value in memo.values())
+        assert (len(memo), kinds[tuple], kinds[list], chunks) == (136, 97, 39, 669)
 
     def test_first_chunk_builds_one_block(self, monkeypatch):
         """The stored children are recorded as the search walks, not ahead of
@@ -461,6 +533,9 @@ class TestBounds:
         assert binom_lower_bound(2) == 4
         assert binom_lower_bound(4) == 64
         assert binom_lower_bound(5) == 1024
+        for n in (0, 8):  # untabulated
+            with pytest.raises(ValueError):
+                binom_lower_bound(n)
 
     def test_sandwich(self):
         for n in (1, 2, 3, 4):

@@ -90,6 +90,10 @@ class TestApply:
         with pytest.raises(ZeroModuleError):
             apply(d_of_overring(P2, range(2)), ZERO)
 
+    def test_spectrum_mismatch(self):
+        with pytest.raises(SpectrumError):
+            apply(star_of(2, {0b01, 0b11}, P2), one((2, 7)))
+
     def test_result_is_least_closed_upper_bound(self):
         # bounded brute force over the window, n <= 3
         rng = random.Random(3)
@@ -205,6 +209,10 @@ class TestDagger:
         )
         assert fam.members == (0b00, 0b01, 0b10, 0b11)
         assert dagger_supports([ValVector(P2, (3, -2))], P2).members == (0b00, 0b11)
+
+    def test_spectrum_mismatch(self):
+        with pytest.raises(SpectrumError):
+            dagger_supports([one((2, 7))], P2)
 
     def test_bounded_oracle_single_generator(self):
         out = dagger_bounded_oracle([one(P2)], P2, 1)
