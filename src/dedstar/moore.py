@@ -3,12 +3,14 @@
 Subsets of {0..n-1} are encoded as integer bit patterns.  A family is stored
 as the ascending tuple of its member encodings; the full set is always a
 member (it is the empty intersection).  One depth-first search walks every
-family on n points in canonical order: ``count_moore`` counts it through a
-memo, and ``enumerate_moore`` and ``enumerate_record_texts`` hand it out in
-memoised blocks of at most 16 families; a state of 5 or 6 candidates is
-kept in the same memo as the list of its children, each a block or a kept
-list, so a revisit computes nothing.  Only ``_walk`` reads or writes it.
-No memo or text outlives a call, and no call leaves a reference cycle.
+family on n points in canonical order: ``enumerate_moore`` and
+``enumerate_record_texts`` hand it out in memoised blocks of at most 16
+families; a state of 5 or 6 candidates is kept in the same memo as the list
+of its children, each a block or a kept list, so a revisit computes
+nothing.  Only ``_walk`` reads or writes it.  ``count_moore`` counts the
+same families without walking them: it takes or skips one candidate at a
+time, through a memo keyed like the search's and a table of meets.  No memo,
+table or text outlives a call, and no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -268,7 +270,7 @@ def _walk(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
     child): a prefix (bit s of ``present`` set iff s is in it) with ascending
     candidates ``cands`` adds a candidate c and keeps the later candidates d
     with d & c in the grown prefix.  The search writes that rule only here;
-    ``_completions`` writes it again, for the reason given there.
+    the counter reads it from ``_meet_table`` instead, one AND a child.
 
     The one reader and writer of the search's ``memo``, keyed by
     ``_state_key``.  A child of no candidates is the block ``(last,)``; one of
@@ -314,9 +316,9 @@ def _pair_meets(cands: List[int]) -> int:
 
 def _state_key(meets: Dict[int, int], width: int, present: int, cands: List[int]
                ) -> int:
-    """``_completions``' memo key of a search state, from the candidates as
-    a bitmask over the ``width`` subsets and their pairwise meets, looked up
-    in ``meets``."""
+    """The memo key of a search state, from the candidates as a bitmask over
+    the ``width`` subsets and their pairwise meets, looked up in ``meets``.
+    ``_completions`` builds the same key from its candidate mask."""
     mask = 0
     for d in cands:
         mask |= 1 << d
@@ -341,52 +343,89 @@ def _block(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
     return tuple(suffixes)
 
 
-def _completions(memo: Dict[int, int], meets: Dict[int, int], width: int,
-                 present: int, cands: List[int], mask: int) -> int:
-    """Families at and below a state of ``_closed_blocks``' search: a
-    prefix (bit s of ``present`` set iff s is in it) and its ascending
-    candidates ``cands``, which are the bits of ``mask``.
+#: Per ``c`` < width: (proper subsets of c, ``classes``, ``allowed``), see
+#: ``_meet_table``.
+_MeetTable = List[Tuple[int, List[int], Dict[int, int]]]
 
-    Below the state, the search asks only whether d & c is present, for
-    candidates c < d: a child adds c and keeps each later d for which it is.
-    The answer is fixed by the candidates added on the way and, for the rest,
-    by the prefix members that are meets of two candidates.  So ``memo`` is
-    keyed on the candidates and those members, each a bitmask over the
-    ``width`` subsets; ``meets`` holds each candidate set's pairwise meets,
-    computed by ``_pair_meets`` once.  A child with one candidate counts 2,
-    itself and itself plus that candidate, without a call.  A module-level
-    function, not a closure: a recursive closure is a reference cycle that
-    keeps ``memo`` and ``meets`` alive until the cycle collector runs.  It
-    writes the child rule of ``_walk`` out again, building each child's
-    candidate mask alongside: taking the children from a generator made
-    ``count_moore(5)`` about 30% slower.
+
+def _meet_table(width: int) -> _MeetTable:
+    """The counter's child rule as a table over the ``width`` subsets.  Entry
+    c holds the bitmask of c's proper subsets, ``classes``, where
+    ``classes[v]`` is the bitmask of the subsets d with d & c = v, and an
+    empty ``allowed``, which ``_completions`` fills: keyed by a set P of
+    proper subsets of c, it holds the subsets d with d & c = c or in P."""
+    table = []
+    for c in range(width):
+        classes = [0] * width
+        for d in range(width):
+            classes[d & c] |= 1 << d
+        below = sum(1 << v for v in range(c) if v & c == v)
+        table.append((below, classes, {}))
+    return table
+
+
+def _completions(memo: Dict[int, int], meets: Dict[int, int], table: _MeetTable,
+                 width: int, present: int, cands: int) -> int:
+    """Families at and below a state of ``_closed_blocks``' search: a prefix
+    (bit s of ``present`` set iff s is in it) and its candidates, the bits
+    of ``cands``, each past every prefix member.
+
+    That is the number of sets S of candidates with d & e in the prefix or
+    in S for all d, e in S: the search adds S's members in ascending order,
+    and keeps a later candidate d after adding c iff d & c, which is at most
+    c, is present by then.  A number of sets does not depend on the order in
+    which they are built, so the count branches two ways on the least
+    candidate c, not once per child: the sets without c, plus the sets with
+    c, which are counted at the prefix grown by c over the later candidates
+    d with d & c = c or d & c present.  ``table`` gives those d as one AND:
+    its entry c is filled once for each prefix met, as seen below c.
+
+    Whether each meet of two candidates is in the prefix is all that the
+    number reads of the prefix.  So ``memo`` is keyed on the candidates and
+    the prefix members among their pairwise meets, each a bitmask over the
+    ``width`` subsets: the key ``_state_key`` gives the search's states.
+    The key counts sets, not paths, so it is sound also at the states that
+    only the branch on c reaches, a prefix with c skipped.  ``meets`` holds
+    each candidate set's pairwise meets, computed by ``_pair_meets`` once.
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle that keeps ``memo``, ``meets`` and ``table`` alive until
+    the cycle collector runs.
     """
-    relevant = meets.get(mask)
+    if not cands & (cands - 1):
+        return 1 + (cands != 0)
+    relevant = meets.get(cands)
     if relevant is None:
-        relevant = meets[mask] = _pair_meets(cands)
-    key = mask << width | (relevant & present)
+        listed, bits = [], cands  # not indices_of: a step a candidate, not a bit
+        while bits:
+            low = bits & -bits
+            listed.append(low.bit_length() - 1)
+            bits ^= low
+        relevant = meets[cands] = _pair_meets(listed)
+    key = cands << width | (relevant & present)
     total = memo.get(key)
     if total is None:
-        total = 1
-        for i, c in enumerate(cands):
-            grown = present | 1 << c
-            rest, rest_mask = [], 0
-            for d in cands[i + 1:]:
-                if grown >> (d & c) & 1:
-                    rest.append(d)
-                    rest_mask |= 1 << d
-            if len(rest) > 1:
-                total += _completions(memo, meets, width, grown, rest, rest_mask)
-            else:
-                total += 1 + len(rest)
-        memo[key] = total
+        low = cands & -cands
+        c = low.bit_length() - 1
+        below, classes, allowed = table[c]
+        sub = present & below
+        taken = allowed.get(sub)
+        if taken is None:
+            taken = classes[c]
+            for v in indices_of(sub):
+                taken |= classes[v]
+            allowed[sub] = taken
+        rest = cands ^ low
+        total = memo[key] = (
+            _completions(memo, meets, table, width, present, rest)
+            + _completions(memo, meets, table, width, present | low, rest & taken))
     return total
 
 
 def count_moore(n: int) -> int:
     """Number of intersection-closed families on an n-element ground set."""
     full = _searchable_full_set(n)
-    return _completions({}, {}, full + 1, 0, list(range(full)), (1 << full) - 1)
+    width = full + 1
+    return _completions({}, {}, _meet_table(width), width, 0, (1 << full) - 1)
 
 
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:

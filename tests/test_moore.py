@@ -327,18 +327,45 @@ class TestEnumeration:
 
     def test_memo_key_is_sound(self):
         """Every state the n = 4 search reaches, in search order, counted
-        through one memo shared by all of them, against a memo-free count of
-        its subtree: a key that confuses two states with different subtrees
-        returns the first one's count for the second."""
+        through one memo, pair-meets dict and meet table shared by all of
+        them, against a memo-free count of its subtree: a key that confuses
+        two states with different subtrees returns the first one's count for
+        the second."""
         full = 15
-        memo, meets = {}, {}
+        memo, meets, table = {}, {}, moore._meet_table(full + 1)
         seen = 0
         for present, cands in search_states(0, list(range(full))):
             mask = sum(1 << c for c in cands)
-            assert (moore._completions(memo, meets, full + 1, present, cands, mask)
+            assert (moore._completions(memo, meets, table, full + 1, present, mask)
                     == sum(1 for _ in search_states(present, cands)))
             seen += 1
         assert seen == KNOWN_COUNTS[4]
+
+    def test_memo_key_is_sound_sampled_n5(self):
+        """Seeded random descents through the n = 5 search, each stopped at
+        the first state whose subtree holds at most 10^4 families, counted
+        in turn through one shared memo, pair-meets dict and meet table,
+        against a memo-free count of the subtree.  A descent picks a child
+        with weight 1.5 ** (its candidates), so that it reaches large
+        subtrees deep in the search, not only the small ones near the root."""
+        limit = 10 ** 4
+        full = 31
+        rng = random.Random(26)
+        memo, meets, table = {}, {}, moore._meet_table(full + 1)
+        sizes = []
+        for _ in range(20):
+            present, cands = 0, list(range(full))
+            size = limit + 1
+            while size > limit:
+                children = list(search_children(present, cands))
+                weights = [1.5 ** len(rest) for _, _, rest in children]
+                _, present, cands = rng.choices(children, weights)[0]
+                size = sum(1 for _ in itertools.islice(search_states(present, cands),
+                                                       limit + 1))
+            mask = sum(1 << c for c in cands)
+            assert moore._completions(memo, meets, table, full + 1, present, mask) == size
+            sizes.append(size)
+        assert len(set(sizes)) >= 10 and max(sizes) > limit // 2
 
     def test_block_memo_is_sound(self):
         """The children of every state the n = 4 search reaches, in search
@@ -421,6 +448,25 @@ class TestEnumeration:
         assert all(m is memo for m in memos)
         kinds = collections.Counter(value.__class__ for value in memo.values())
         assert (len(memo), kinds[tuple], kinds[list], chunks) == (136, 97, 39, 669)
+
+    def test_count_memo_census(self, monkeypatch):
+        """``count_moore(4)`` keeps one memo, pair-meets dict and meet table,
+        seen through every ``_completions`` call, of 258 counts, 129
+        pair-meet masks and 126 allowed sets, in 517 calls: a counter change
+        that stops sharing states fails here."""
+        completions = moore._completions
+        seen = []
+
+        def watched(*args):
+            seen.append(args[:3])
+            return completions(*args)
+
+        monkeypatch.setattr(moore, "_completions", watched)
+        assert count_moore(4) == 2480
+        memo, meets, table = seen[0]
+        assert all(a is memo and b is meets and c is table for a, b, c in seen)
+        allowed = sum(len(entry[2]) for entry in table)
+        assert (len(memo), len(meets), allowed, len(seen)) == (258, 129, 126, 517)
 
     def test_first_chunk_builds_one_block(self, monkeypatch):
         """The stored children are recorded as the search walks, not ahead of
