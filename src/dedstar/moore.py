@@ -9,8 +9,9 @@ families; a state of 5 or 6 candidates is kept in the same memo as the list
 of its children, each a block or a kept list, so a revisit computes
 nothing.  Only ``_walk`` reads or writes it.  ``count_moore`` counts the
 same families without walking them: it takes or skips one candidate at a
-time, through a memo keyed like the search's and a table of meets.  No memo,
-table or text outlives a call, and no call leaves a reference cycle.
+time, through a memo keyed by the search's ``_state_key``, and keeps a later
+candidate by one product of down-sets.  No memo or text outlives a call, and
+no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -269,8 +270,9 @@ def _walk(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
     """The children of a search state, in order, as pairs (piece index c,
     child): a prefix (bit s of ``present`` set iff s is in it) with ascending
     candidates ``cands`` adds a candidate c and keeps the later candidates d
-    with d & c in the grown prefix.  The search writes that rule only here;
-    the counter reads it from ``_meet_table`` instead, one AND a child.
+    with d & c in the grown prefix.  The search writes that rule only here
+    as a list; ``_completions`` takes the same d as one product of
+    down-sets, and the tests check the two against each other.
 
     The one reader and writer of the search's ``memo``, keyed by
     ``_state_key``.  A child of no candidates is the block ``(last,)``; one of
@@ -292,7 +294,10 @@ def _walk(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
         elif len(rest) > STATE_CANDIDATES:  # never a child of a recorded state
             child = _walk(memo, meets, width, items, last, grown, rest, None)
         else:
-            key = _state_key(meets, width, grown, rest)
+            mask = 0
+            for d in rest:
+                mask |= 1 << d
+            key = _state_key(meets, width, grown, mask)
             child = memo.get(key)
             if child is None:
                 if len(rest) <= BLOCK_CANDIDATES:
@@ -305,27 +310,32 @@ def _walk(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
         yield c, walk or child
 
 
-def _pair_meets(cands: List[int]) -> int:
-    """Bitmask of the candidates' pairwise meets d & e, for the memo key."""
+def _pair_meets(cands: int) -> int:
+    """Bitmask of the pairwise meets d & e of the candidates, the bits of
+    ``cands``, for the memo key."""
+    listed = []  # not indices_of: a step a candidate, not a bit
+    while cands:
+        low = cands & -cands
+        listed.append(low.bit_length() - 1)
+        cands ^= low
     relevant = 0
-    for i, d in enumerate(cands):
-        for e in cands[i + 1:]:
+    for i, d in enumerate(listed):
+        for e in listed[i + 1:]:
             relevant |= 1 << (d & e)
     return relevant
 
 
-def _state_key(meets: Dict[int, int], width: int, present: int, cands: List[int]
-               ) -> int:
-    """The memo key of a search state, from the candidates as a bitmask over
-    the ``width`` subsets and their pairwise meets, looked up in ``meets``.
-    ``_completions`` builds the same key from its candidate mask."""
-    mask = 0
-    for d in cands:
-        mask |= 1 << d
-    relevant = meets.get(mask)
+def _state_key(meets: Dict[int, int], width: int, present: int, cands: int) -> int:
+    """The memo key of a state of the search or of the counter: a prefix
+    (bit s of ``present`` set iff s is in it) and its candidates, the bits
+    of ``cands``.  The key is the candidates over the prefix members among
+    their pairwise meets, each a bitmask over the ``width`` subsets;
+    ``meets`` holds each candidate set's pairwise meets, computed by
+    ``_pair_meets`` once.  The only builder of a memo key."""
+    relevant = meets.get(cands)
     if relevant is None:
-        relevant = meets[mask] = _pair_meets(cands)
-    return mask << width | (relevant & present)
+        relevant = meets[cands] = _pair_meets(cands)
+    return cands << width | (relevant & present)
 
 
 def _block(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
@@ -343,28 +353,18 @@ def _block(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
     return tuple(suffixes)
 
 
-#: Per ``c`` < width: (proper subsets of c, ``classes``, ``allowed``), see
-#: ``_meet_table``.
-_MeetTable = List[Tuple[int, List[int], Dict[int, int]]]
+def _down_sets(width: int) -> List[int]:
+    """``down[x]`` is the bitmask of the subsets of x, for each of the
+    ``width`` subsets: those of x without its lowest element ``low``, each
+    as it is and with ``low`` added, which multiplies its bit by 2^low."""
+    down = [1]
+    for x in range(1, width):
+        low = x & -x
+        down.append(down[x ^ low] * (1 + (1 << low)))
+    return down
 
 
-def _meet_table(width: int) -> _MeetTable:
-    """The counter's child rule as a table over the ``width`` subsets.  Entry
-    c holds the bitmask of c's proper subsets, ``classes``, where
-    ``classes[v]`` is the bitmask of the subsets d with d & c = v, and an
-    empty ``allowed``, which ``_completions`` fills: keyed by a set P of
-    proper subsets of c, it holds the subsets d with d & c = c or in P."""
-    table = []
-    for c in range(width):
-        classes = [0] * width
-        for d in range(width):
-            classes[d & c] |= 1 << d
-        below = sum(1 << v for v in range(c) if v & c == v)
-        table.append((below, classes, {}))
-    return table
-
-
-def _completions(memo: Dict[int, int], meets: Dict[int, int], table: _MeetTable,
+def _completions(memo: Dict[int, int], meets: Dict[int, int], down: List[int],
                  width: int, present: int, cands: int) -> int:
     """Families at and below a state of ``_closed_blocks``' search: a prefix
     (bit s of ``present`` set iff s is in it) and its candidates, the bits
@@ -377,47 +377,36 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], table: _MeetTable,
     which they are built, so the count branches two ways on the least
     candidate c, not once per child: the sets without c, plus the sets with
     c, which are counted at the prefix grown by c over the later candidates
-    d with d & c = c or d & c present.  ``table`` gives those d as one AND:
-    its entry c is filled once for each prefix met, as seen below c.
+    d with d & c in A, the prefix members inside c and c itself.
+
+    Those d are one product of down-sets (``down``, from ``_down_sets``).
+    Each subset d is v | t for v = d & c and t = d & ~c, and it is kept iff
+    v is in A, so the kept subsets are the v | t for v in A and t inside
+    full ^ c.  As v and t are disjoint, 2^(v | t) = 2^v * 2^t, and the
+    bitmask of the kept subsets is (bitmask of A) * down[full ^ c].  The
+    product has no carries: each pair (v, t) gives a different v | t, so no
+    two of its terms set the same bit.
 
     Whether each meet of two candidates is in the prefix is all that the
-    number reads of the prefix.  So ``memo`` is keyed on the candidates and
-    the prefix members among their pairwise meets, each a bitmask over the
-    ``width`` subsets: the key ``_state_key`` gives the search's states.
-    The key counts sets, not paths, so it is sound also at the states that
-    only the branch on c reaches, a prefix with c skipped.  ``meets`` holds
-    each candidate set's pairwise meets, computed by ``_pair_meets`` once.
-    A module-level function, not a closure: a recursive closure is a
-    reference cycle that keeps ``memo``, ``meets`` and ``table`` alive until
-    the cycle collector runs.
+    number reads of the prefix.  So ``memo`` is keyed by ``_state_key``, as
+    the search's states are.  The key counts sets, not paths, so it is sound
+    also at the states that only the branch on c reaches, a prefix with c
+    skipped.  A module-level function, not a closure: a recursive closure
+    is a reference cycle that keeps ``memo``, ``meets`` and ``down`` alive
+    until the cycle collector runs.
     """
     if not cands & (cands - 1):
         return 1 + (cands != 0)
-    relevant = meets.get(cands)
-    if relevant is None:
-        listed, bits = [], cands  # not indices_of: a step a candidate, not a bit
-        while bits:
-            low = bits & -bits
-            listed.append(low.bit_length() - 1)
-            bits ^= low
-        relevant = meets[cands] = _pair_meets(listed)
-    key = cands << width | (relevant & present)
+    key = _state_key(meets, width, present, cands)
     total = memo.get(key)
     if total is None:
         low = cands & -cands
         c = low.bit_length() - 1
-        below, classes, allowed = table[c]
-        sub = present & below
-        taken = allowed.get(sub)
-        if taken is None:
-            taken = classes[c]
-            for v in indices_of(sub):
-                taken |= classes[v]
-            allowed[sub] = taken
         rest = cands ^ low
+        taken = (present & down[c] | low) * down[(width - 1) ^ c]
         total = memo[key] = (
-            _completions(memo, meets, table, width, present, rest)
-            + _completions(memo, meets, table, width, present | low, rest & taken))
+            _completions(memo, meets, down, width, present, rest)
+            + _completions(memo, meets, down, width, present | low, rest & taken))
     return total
 
 
@@ -425,7 +414,7 @@ def count_moore(n: int) -> int:
     """Number of intersection-closed families on an n-element ground set."""
     full = _searchable_full_set(n)
     width = full + 1
-    return _completions({}, {}, _meet_table(width), width, 0, (1 << full) - 1)
+    return _completions({}, {}, _down_sets(width), width, 0, (1 << full) - 1)
 
 
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:

@@ -71,6 +71,14 @@ def _require_nonzero(f: ModuleVector) -> ValVector:
     return f
 
 
+def _on_spectrum(star: Star, f: ModuleVector) -> ValVector:
+    """f, once it is a nonzero module over the star's spectrum."""
+    f = _require_nonzero(f)
+    if f.primes != star.primes:
+        raise SpectrumError("vector spectrum does not match star spectrum")
+    return f
+
+
 def _support_mask(f: ValVector) -> int:
     return mask_of(inf_support(f), f.n)
 
@@ -81,9 +89,7 @@ def apply(star: Star, f: ModuleVector) -> ValVector:
     The result is +inf on the family-closure of f's +inf support and keeps
     f's finite entries elsewhere.
     """
-    f = _require_nonzero(f)
-    if f.primes != star.primes:
-        raise SpectrumError("vector spectrum does not match star spectrum")
+    f = _on_spectrum(star, f)
     closed_support = closure(star.family, _support_mask(f))
     entries = tuple(
         POS_INF if closed_support >> i & 1 else e for i, e in enumerate(f.entries)
@@ -92,9 +98,7 @@ def apply(star: Star, f: ModuleVector) -> ValVector:
 
 
 def is_closed(star: Star, f: ModuleVector) -> bool:
-    f = _require_nonzero(f)
-    if f.primes != star.primes:
-        raise SpectrumError("vector spectrum does not match star spectrum")
+    f = _on_spectrum(star, f)
     return _support_mask(f) in star.family
 
 

@@ -327,16 +327,16 @@ class TestEnumeration:
 
     def test_memo_key_is_sound(self):
         """Every state the n = 4 search reaches, in search order, counted
-        through one memo, pair-meets dict and meet table shared by all of
+        through one memo, pair-meets dict and down-set list shared by all of
         them, against a memo-free count of its subtree: a key that confuses
         two states with different subtrees returns the first one's count for
         the second."""
         full = 15
-        memo, meets, table = {}, {}, moore._meet_table(full + 1)
+        memo, meets, down = {}, {}, moore._down_sets(full + 1)
         seen = 0
         for present, cands in search_states(0, list(range(full))):
             mask = sum(1 << c for c in cands)
-            assert (moore._completions(memo, meets, table, full + 1, present, mask)
+            assert (moore._completions(memo, meets, down, full + 1, present, mask)
                     == sum(1 for _ in search_states(present, cands)))
             seen += 1
         assert seen == KNOWN_COUNTS[4]
@@ -344,14 +344,14 @@ class TestEnumeration:
     def test_memo_key_is_sound_sampled_n5(self):
         """Seeded random descents through the n = 5 search, each stopped at
         the first state whose subtree holds at most 10^4 families, counted
-        in turn through one shared memo, pair-meets dict and meet table,
+        in turn through one shared memo, pair-meets dict and down-set list,
         against a memo-free count of the subtree.  A descent picks a child
         with weight 1.5 ** (its candidates), so that it reaches large
         subtrees deep in the search, not only the small ones near the root."""
         limit = 10 ** 4
         full = 31
         rng = random.Random(26)
-        memo, meets, table = {}, {}, moore._meet_table(full + 1)
+        memo, meets, down = {}, {}, moore._down_sets(full + 1)
         sizes = []
         for _ in range(20):
             present, cands = 0, list(range(full))
@@ -363,7 +363,7 @@ class TestEnumeration:
                 size = sum(1 for _ in itertools.islice(search_states(present, cands),
                                                        limit + 1))
             mask = sum(1 << c for c in cands)
-            assert moore._completions(memo, meets, table, full + 1, present, mask) == size
+            assert moore._completions(memo, meets, down, full + 1, present, mask) == size
             sizes.append(size)
         assert len(set(sizes)) >= 10 and max(sizes) > limit // 2
 
@@ -407,7 +407,7 @@ class TestEnumeration:
             assert listed == expected
             if not rest or len(rest) > moore.STATE_CANDIDATES:
                 continue
-            key = moore._state_key({}, width, grown, rest)
+            key = moore._state_key({}, width, grown, sum(1 << d for d in rest))
             assert key in memo
             if len(rest) <= moore.BLOCK_CANDIDATES:
                 assert child is memo[key]
@@ -450,10 +450,10 @@ class TestEnumeration:
         assert (len(memo), kinds[tuple], kinds[list], chunks) == (136, 97, 39, 669)
 
     def test_count_memo_census(self, monkeypatch):
-        """``count_moore(4)`` keeps one memo, pair-meets dict and meet table,
-        seen through every ``_completions`` call, of 258 counts, 129
-        pair-meet masks and 126 allowed sets, in 517 calls: a counter change
-        that stops sharing states fails here."""
+        """``count_moore(4)`` keeps one memo, pair-meets dict and down-set
+        list, seen through every ``_completions`` call, of 258 counts and 129
+        pair-meet masks, in 517 calls: a counter change that stops sharing
+        states fails here."""
         completions = moore._completions
         seen = []
 
@@ -463,10 +463,41 @@ class TestEnumeration:
 
         monkeypatch.setattr(moore, "_completions", watched)
         assert count_moore(4) == 2480
-        memo, meets, table = seen[0]
-        assert all(a is memo and b is meets and c is table for a, b, c in seen)
-        allowed = sum(len(entry[2]) for entry in table)
-        assert (len(memo), len(meets), allowed, len(seen)) == (258, 129, 126, 517)
+        memo, meets, down = seen[0]
+        assert all(a is memo and b is meets and c is down for a, b, c in seen)
+        assert (len(memo), len(meets), len(seen)) == (258, 129, 517)
+
+    def test_take_branch_keeps_the_search_children(self, monkeypatch):
+        """The counter's product of down-sets keeps the same candidates as
+        the search's list rule.  The child that adds c to a state of the
+        n = 4 search is the branch that takes c at the same prefix with the
+        candidates from c on, so each child of every state, with c not its
+        last candidate, is checked as the second call that ``_completions``
+        makes there.  And ``_down_sets(64)`` lists the subsets of each x."""
+        full = 15
+        completions = moore._completions
+        calls = []
+
+        def stub(memo, meets, down, width, present, cands):
+            calls.append((present, cands))
+            return 0
+
+        monkeypatch.setattr(moore, "_completions", stub)
+        meets, down = {}, moore._down_sets(full + 1)
+        seen = 0
+        for present, cands in search_states(0, list(range(full))):
+            for i, (c, grown, rest) in enumerate(search_children(present, cands)):
+                if i + 1 == len(cands):
+                    continue
+                calls.clear()
+                mask = sum(1 << d for d in cands[i:])
+                completions({}, meets, down, full + 1, present, mask)
+                assert calls == [(present, mask ^ 1 << c),
+                                 (grown, sum(1 << d for d in rest))]
+                seen += 1
+        assert seen == 1366
+        assert moore._down_sets(64) == [
+            sum(1 << s for s in range(64) if s & x == s) for x in range(64)]
 
     def test_first_chunk_builds_one_block(self, monkeypatch):
         """The stored children are recorded as the search walks, not ahead of
