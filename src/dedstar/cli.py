@@ -264,10 +264,10 @@ def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
             raise GuardError(f"star lattice at n={n} exceeds {moore.ISO_GUARD} elements")
         star_list = [stars.star_from_moore(f) for f in moore.enumerate_moore(n)]
     else:
+        if len(star_files) > moore.ISO_GUARD:  # before any file is read
+            raise GuardError(f"more than {moore.ISO_GUARD} stars")
         star_list = [_parse_record("@" + path, stars.star_from_record, f"star file {path}")
                      for path in star_files]
-        if len(star_list) > moore.ISO_GUARD:
-            raise GuardError(f"more than {moore.ISO_GUARD} stars")
     edges = moore.hasse(star_list, stars.star_le)
     labels = [
         "{" + ";".join(

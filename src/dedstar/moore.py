@@ -5,13 +5,12 @@ as the ascending tuple of its member encodings; the full set is always a
 member (it is the empty intersection).  One depth-first search walks every
 family on n points in canonical order: ``enumerate_moore`` and
 ``enumerate_record_texts`` hand it out in memoised blocks of at most 16
-families; a state of 5 or 6 candidates is kept in the same memo as the list
-of its children, each a block or a kept list, so a revisit computes
-nothing.  Only ``_walk`` reads or writes it.  ``count_moore`` counts the
-same families without walking them: it takes or skips one candidate at a
-time, through a memo keyed by the search's ``_state_key``, and keeps a later
-candidate by one product of down-sets.  No memo or text outlives a call, and
-no call leaves a reference cycle.
+families, and walk a state of more candidates again on each visit.  Only
+``_walk`` reads or writes the memo.  ``count_moore`` counts the same
+families without walking them: it takes or skips one candidate at a time,
+through a memo keyed by the search's ``_state_key``.  Both keep a later
+candidate by one child rule, ``_child_candidates``, a product of down-sets.
+No memo or text outlives a call, and no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -199,21 +198,14 @@ def _searchable_full_set(n: int) -> int:
 
 
 #: A search state with at most this many candidates is built once, as one
-#: memoised block of at most 2^4 = 16 suffix folds, and handed out whole.  A
-#: larger state of at most ``STATE_CANDIDATES`` is walked once and stored as
-#: its children, which each revisit hands out again; larger ones are walked on
-#: every visit.  ``enumerate_record_texts(5)`` process time and peak RSS over a
-#: 16 MB start, by (block bound, state limit), 3 runs each on a shared 2-core
-#: VM with Python 3.11: (0, 0), a family at a time, 2.2-3.3 s, +0 MB; (3, 3)
-#: 1.2-2.3 s, +0.25 MB; (4, 4) 0.65-1.06 s, +1.25 MB; (6, 6) 0.38-0.67 s,
-#: +11 MB; (3, 6) 0.76-0.89 s, +1.4 MB; (5, 6) 0.42-1.01 s, +4.8 MB; (4, 6)
-#: 0.43-0.60 s, +2.1 MB; (4, 8) 0.49-0.68 s, +3.8 MB; (4, every state)
-#: 0.32-0.84 s, +5.3 MB.  Past 4 a block grows the memory faster than the
-#: time falls, and past 6 a stored state adds memory for no clear time.  At
-#: n = 5 the search keeps one memo of 4 117 entries: 1 334 blocks and 2 783
-#: stored states.
+#: memoised block of at most 2^4 = 16 suffix folds, and handed out whole; a
+#: larger state is walked again on every visit.  ``enumerate_record_texts(5)``
+#: process time and peak RSS over a 16 MB start, by block bound, 3 runs each
+#: on a shared 2-core VM with Python 3.11: 3, 0.97-0.98 s, +0.4 MB; 4,
+#: 0.66-0.70 s, +1.4 MB; 5, 0.52-0.54 s, +4.4 MB; 6, 0.41 s, +11.3 MB.  Past 4
+#: a block grows the memory faster than the time falls.  At n = 5 the search
+#: keeps one memo of 1 334 blocks.
 BLOCK_CANDIDATES = 4
-STATE_CANDIDATES = 6
 
 
 def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
@@ -229,13 +221,14 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     all p in P gives a child P + [c], whose candidates are P's after c with
     d & c in P + [c].  So P + [full] is a family, and P, yielded after its
     children, sorts after theirs.  ``_walk`` lists a state's children, each
-    a block, a kept list of its own children or a walk, and is the one reader
-    and writer of the call's memo; ``_unfold`` turns them into blocks.  Its
-    stack is explicit: ``yield from`` made the search about 40% slower.  The
-    memo is a local of the call, and the walks module-level functions, so
-    nothing outlives the call and no reference cycle holds it.
+    a block or a walk, and is the one reader and writer of the call's memo;
+    ``_unfold`` turns them into blocks.  Its stack is explicit: ``yield
+    from`` made the search about 40% slower.  The memo and the down-sets of
+    ``_down_sets`` are built once per call, and the walks are module-level
+    functions, so nothing outlives the call and no reference cycle holds it.
     """
-    root = _walk({}, {}, full + 1, items, last, 0, list(range(full)), None)
+    width = full + 1
+    root = _walk({}, {}, _down_sets(width), width, items, last, 0, (1 << full) - 1)
     return _unfold(items, last, start, root)
 
 
@@ -244,9 +237,8 @@ def _unfold(items: Sequence[_T], last: _T, start: _T,
             ) -> Iterator[Tuple[_T, Tuple[_T, ...]]]:
     """The pairs (prefix fold, block) at and below a state of the search,
     from the state's children as ``_walk`` gives them.  A stack frame holds a
-    prefix's fold and its children still to come: a block is yielded, a kept
-    list is replayed as its flat (c, child, ...) pairs, and a walk is read as
-    it goes."""
+    prefix's fold and its children still to come: a block is yielded, and a
+    walk is read as it goes."""
     stack = [(start, children)]
     while stack:
         fold, children = stack[-1]
@@ -254,9 +246,6 @@ def _unfold(items: Sequence[_T], last: _T, start: _T,
             if child.__class__ is tuple:
                 yield fold + items[c], child
             else:
-                if child.__class__ is list:
-                    flat = iter(child)
-                    child = zip(flat, flat)
                 stack.append((fold + items[c], child))
                 break
         else:
@@ -264,50 +253,51 @@ def _unfold(items: Sequence[_T], last: _T, start: _T,
             yield fold, (last,)
 
 
-def _walk(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
-          items: Sequence[_T], last: _T, present: int, cands: List[int],
-          record: Optional[List]) -> Iterator[Tuple[int, object]]:
+def _walk(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
+          width: int, items: Sequence[_T], last: _T, present: int, cands: int
+          ) -> Iterator[Tuple[int, object]]:
     """The children of a search state, in order, as pairs (piece index c,
-    child): a prefix (bit s of ``present`` set iff s is in it) with ascending
-    candidates ``cands`` adds a candidate c and keeps the later candidates d
-    with d & c in the grown prefix.  The search writes that rule only here
-    as a list; ``_completions`` takes the same d as one product of
-    down-sets, and the tests check the two against each other.
+    child): a prefix (bit s of ``present`` set iff s is in it) adds a
+    candidate c, a bit of ``cands``, and keeps the later candidates that
+    ``_child_candidates`` keeps, as the counter's take branch does.
 
     The one reader and writer of the search's ``memo``, keyed by
     ``_state_key``.  A child of no candidates is the block ``(last,)``; one of
     at most ``BLOCK_CANDIDATES`` is its block, built by ``_block`` on a miss;
-    one of at most ``STATE_CANDIDATES`` is its kept list or, on a miss, a walk
-    that fills a new list kept at once; a larger one is a walk and no more.
-    Given a ``record`` list, the pairs go into it flat as they go out, each
-    child as its block or list, so a first walk computes nothing ahead of its
-    children.  Keeping a list before its walk ends is safe: a state below
-    another has fewer candidates, so other top bits in its key, and a key
-    never comes up in its own subtree.  No list is replayed unfinished, and
-    none holds itself, which would make ``_unfold`` loop forever."""
-    for i, c in enumerate(cands):
-        grown = present | 1 << c
-        rest = [d for d in cands[i + 1:] if grown >> (d & c) & 1]
-        walk = None
+    a larger one is a fresh walk."""
+    while cands:
+        low = cands & -cands
+        c = low.bit_length() - 1
+        cands ^= low
+        rest = _child_candidates(down, width, present, c, cands)
         if not rest:
             child = (last,)
-        elif len(rest) > STATE_CANDIDATES:  # never a child of a recorded state
-            child = _walk(memo, meets, width, items, last, grown, rest, None)
+        elif rest.bit_count() > BLOCK_CANDIDATES:
+            child = _walk(memo, meets, down, width, items, last, present | low, rest)
         else:
-            mask = 0
-            for d in rest:
-                mask |= 1 << d
-            key = _state_key(meets, width, grown, mask)
+            key = _state_key(meets, width, present | low, rest)
             child = memo.get(key)
             if child is None:
-                if len(rest) <= BLOCK_CANDIDATES:
-                    child = memo[key] = _block(memo, meets, width, items, last, grown, rest)
-                else:
-                    child = memo[key] = []
-                    walk = _walk(memo, meets, width, items, last, grown, rest, child)
-        if record is not None:
-            record += (c, child)
-        yield c, walk or child
+                child = memo[key] = _block(memo, meets, down, width, items, last,
+                                           present | low, rest)
+        yield c, child
+
+
+def _child_candidates(down: List[int], width: int, present: int, c: int,
+                      later: int) -> int:
+    """The candidates of the child that adds c to a prefix (bit s of
+    ``present`` set iff s is in it): the bits d of ``later``, the candidates
+    after c, with d & c in A, the prefix members inside c and c itself.  The
+    one child rule, of the search and of the counter.
+
+    Those d are one product of down-sets (``down``, from ``_down_sets``).
+    Each subset d is v | t for v = d & c and t = d & ~c, and it is kept iff
+    v is in A, so the kept subsets are the v | t for v in A and t inside
+    full ^ c.  As v and t are disjoint, 2^(v | t) = 2^v * 2^t, and the
+    bitmask of the kept subsets is (bitmask of A) * down[full ^ c].  The
+    product has no carries: each pair (v, t) gives a different v | t, so no
+    two of its terms set the same bit."""
+    return later & (present & down[c] | 1 << c) * down[(width - 1) ^ c]
 
 
 def _pair_meets(cands: int) -> int:
@@ -338,16 +328,16 @@ def _state_key(meets: Dict[int, int], width: int, present: int, cands: int) -> i
     return cands << width | (relevant & present)
 
 
-def _block(memo: Dict[int, Sequence], meets: Dict[int, int], width: int,
-           items: Sequence[_T], last: _T, present: int, cands: List[int]
+def _block(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
+           width: int, items: Sequence[_T], last: _T, present: int, cands: int
            ) -> Tuple[_T, ...]:
     """The suffix folds of every family at and below a state of
     ``_closed_blocks``' search, in canonical order: a prefix (bit s of
-    ``present`` set iff s is in it) and its ascending candidates ``cands``.
-    Only builds; ``_walk`` looks the block up and keeps it, and also
-    memoises the state's children, every one of which is a block."""
+    ``present`` set iff s is in it) and its candidates, the bits of
+    ``cands``.  Only builds; ``_walk`` looks the block up and keeps it, and
+    also memoises the state's children, every one of which is a block."""
     suffixes = [items[c] + s for c, child in
-                _walk(memo, meets, width, items, last, present, cands, None)
+                _walk(memo, meets, down, width, items, last, present, cands)
                 for s in child]
     suffixes.append(last)
     return tuple(suffixes)
@@ -377,15 +367,7 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], down: List[int],
     which they are built, so the count branches two ways on the least
     candidate c, not once per child: the sets without c, plus the sets with
     c, which are counted at the prefix grown by c over the later candidates
-    d with d & c in A, the prefix members inside c and c itself.
-
-    Those d are one product of down-sets (``down``, from ``_down_sets``).
-    Each subset d is v | t for v = d & c and t = d & ~c, and it is kept iff
-    v is in A, so the kept subsets are the v | t for v in A and t inside
-    full ^ c.  As v and t are disjoint, 2^(v | t) = 2^v * 2^t, and the
-    bitmask of the kept subsets is (bitmask of A) * down[full ^ c].  The
-    product has no carries: each pair (v, t) gives a different v | t, so no
-    two of its terms set the same bit.
+    that ``_child_candidates`` keeps, the search's child that adds c.
 
     Whether each meet of two candidates is in the prefix is all that the
     number reads of the prefix.  So ``memo`` is keyed by ``_state_key``, as
@@ -403,10 +385,10 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], down: List[int],
         low = cands & -cands
         c = low.bit_length() - 1
         rest = cands ^ low
-        taken = (present & down[c] | low) * down[(width - 1) ^ c]
         total = memo[key] = (
             _completions(memo, meets, down, width, present, rest)
-            + _completions(memo, meets, down, width, present | low, rest & taken))
+            + _completions(memo, meets, down, width, present | low,
+                           _child_candidates(down, width, present, c, rest)))
     return total
 
 

@@ -605,14 +605,23 @@ class TestHasse:
         assert code == 4 and out == ""
         assert "duplicate primes" in err
 
-    def test_star_file_count_guard(self, capsys, tmp_path):
-        """200 star files are drawn; one more is refused."""
+    def test_star_file_count_guard(self, capsys, tmp_path, monkeypatch):
+        """200 star files are drawn; one more is refused before the first
+        of them is parsed."""
         path = tmp_path / "s.json"
         path.write_text('{"primes":[2],"family":{"n":1,"members":[[0]]}}')
         code, out, _ = run(capsys, "hasse", *["--star-file", str(path)] * 200)
         assert code == 0 and out.count("[label=") == 200
+        parse = stars.star_from_record
+        parsed = []
+
+        def counted(record):
+            parsed.append(record)
+            return parse(record)
+
+        monkeypatch.setattr(stars, "star_from_record", counted)
         code, out, err = run(capsys, "hasse", *["--star-file", str(path)] * 201)
-        assert code == 2 and out == ""
+        assert (code, out, parsed) == (2, "", [])
         assert err == "refused: more than 200 stars\n"
 
     def test_star_file_primes_must_be_a_list(self, capsys, tmp_path):

@@ -79,9 +79,10 @@ def walked_children(memo, full):
     members it adds below the child, and the full set.  Each child is
     unfolded, so every walk is read to its end before the next child."""
     items = [(c,) for c in range(full)]
-    meets = {}
+    meets, down = {}, moore._down_sets(full + 1)
     for present, cands in search_states(0, list(range(full))):
-        walk = moore._walk(memo, meets, full + 1, items, (full,), present, cands, None)
+        walk = moore._walk(memo, meets, down, full + 1, items, (full,), present,
+                           sum(1 << c for c in cands))
         for (c, child), (c_, grown, rest) in zip(walk, search_children(present, cands),
                                                  strict=True):
             assert c == c_
@@ -385,56 +386,45 @@ class TestEnumeration:
                 seen += 1
         assert seen == 2377
         assert len(memo) < seen
-        assert all(all(s.__class__ is tuple and s[-1] == full for s in value)
-                   for value in memo.values() if value.__class__ is tuple)
+        assert all(value.__class__ is tuple
+                   and all(s.__class__ is tuple and s[-1] == full for s in value)
+                   for value in memo.values())
 
     def test_state_memo_is_sound(self):
         """The children of every state the n = 4 search reaches, in search
         order, handed out by ``_walk`` through one memo shared by all of
-        them, as the search shares it between blocks and kept lists, against
-        a memo-free listing of each child's subtree.  A child of 1 to
-        ``BLOCK_CANDIDATES`` candidates is its kept block; a larger one of at
-        most ``STATE_CANDIDATES`` is walked into a new kept list, or handed
-        out as its kept list once it has one, as a revisit in the search is.
-        A key that confuses two states with different subtrees hands out the
-        first one's block or children for the second, and one that confuses
-        a block with a list hands out the wrong kind."""
+        them, against a memo-free listing of each child's subtree.  A child
+        of 1 to ``BLOCK_CANDIDATES`` candidates is its kept block; a larger
+        one is a fresh walk, which nothing keeps.  A key that confuses two
+        states with different subtrees hands out the first one's block for
+        the second, and a walk kept in the memo would show up here."""
         full = 15
         width = full + 1
         memo = {}
         seen = collections.Counter()
         for grown, rest, child, listed, expected in walked_children(memo, full):
             assert listed == expected
-            if not rest or len(rest) > moore.STATE_CANDIDATES:
+            if not rest:
                 continue
             key = moore._state_key({}, width, grown, sum(1 << d for d in rest))
-            assert key in memo
             if len(rest) <= moore.BLOCK_CANDIDATES:
                 assert child is memo[key]
                 seen["block"] += 1
-            elif child.__class__ is list:
-                assert child is memo[key]
-                seen["replayed"] += 1
             else:
                 assert isinstance(child, types.GeneratorType)
+                assert key not in memo
                 seen["walked"] += 1
-        assert seen == {"block": 1010, "replayed": 74, "walked": 3}
-        assert len(memo) < sum(seen.values())
-        kept = {id(value) for value in memo.values()}
+        assert seen == {"block": 1010, "walked": 102}
+        assert len(memo) < seen["block"]
         for key, value in memo.items():
-            if (key >> width).bit_count() <= moore.BLOCK_CANDIDATES:
-                assert value.__class__ is tuple
-                assert all(s.__class__ is tuple and s[-1] == full for s in value)
-            else:
-                assert value.__class__ is list and len(value) % 2 == 0
-                assert all(c.__class__ is int for c in value[::2])
-                assert all(child.__class__ is tuple or id(child) in kept
-                           for child in value[1::2])
+            assert 1 <= (key >> width).bit_count() <= moore.BLOCK_CANDIDATES
+            assert value.__class__ is tuple
+            assert all(s.__class__ is tuple and s[-1] == full for s in value)
 
     def test_memo_census(self, monkeypatch):
         """``enumerate_record_texts(4)`` keeps one memo, seen through every
-        ``_walk`` call, of 97 blocks and 39 kept lists, and writes 669
-        chunks: a search change that stops reusing states fails here."""
+        ``_walk`` call, of 97 blocks and nothing else, and writes 669 chunks:
+        a search change that stops reusing states fails here."""
         walk = moore._walk
         memos = []
 
@@ -447,7 +437,7 @@ class TestEnumeration:
         memo = memos[0]
         assert all(m is memo for m in memos)
         kinds = collections.Counter(value.__class__ for value in memo.values())
-        assert (len(memo), kinds[tuple], kinds[list], chunks) == (136, 97, 39, 669)
+        assert (len(memo), kinds[tuple], kinds[list], chunks) == (97, 97, 0, 669)
 
     def test_count_memo_census(self, monkeypatch):
         """``count_moore(4)`` keeps one memo, pair-meets dict and down-set
@@ -468,13 +458,16 @@ class TestEnumeration:
         assert (len(memo), len(meets), len(seen)) == (258, 129, 517)
 
     def test_take_branch_keeps_the_search_children(self, monkeypatch):
-        """The counter's product of down-sets keeps the same candidates as
-        the search's list rule.  The child that adds c to a state of the
-        n = 4 search is the branch that takes c at the same prefix with the
-        candidates from c on, so each child of every state, with c not its
-        last candidate, is checked as the second call that ``_completions``
-        makes there.  And ``_down_sets(64)`` lists the subsets of each x."""
+        """``_child_candidates``, the one child rule, keeps the candidates of
+        every child of every state of the n = 4 search that
+        ``search_children`` lists.  The counter takes c through it: the
+        child that adds c is the branch that takes c at the same prefix
+        with the candidates from c on, so each child, with c not its state's
+        last candidate, is also checked as the second call that
+        ``_completions`` makes there.  And ``_down_sets(64)`` lists the
+        subsets of each x."""
         full = 15
+        width = full + 1
         completions = moore._completions
         calls = []
 
@@ -483,27 +476,28 @@ class TestEnumeration:
             return 0
 
         monkeypatch.setattr(moore, "_completions", stub)
-        meets, down = {}, moore._down_sets(full + 1)
-        seen = 0
+        meets, down = {}, moore._down_sets(width)
+        seen = collections.Counter()
         for present, cands in search_states(0, list(range(full))):
             for i, (c, grown, rest) in enumerate(search_children(present, cands)):
-                if i + 1 == len(cands):
+                later = sum(1 << d for d in cands[i + 1:])
+                kept = sum(1 << d for d in rest)
+                assert moore._child_candidates(down, width, present, c, later) == kept
+                seen["child"] += 1
+                if not later:
                     continue
                 calls.clear()
-                mask = sum(1 << d for d in cands[i:])
-                completions({}, meets, down, full + 1, present, mask)
-                assert calls == [(present, mask ^ 1 << c),
-                                 (grown, sum(1 << d for d in rest))]
-                seen += 1
-        assert seen == 1366
+                completions({}, meets, down, width, present, later | 1 << c)
+                assert calls == [(present, later), (grown, kept)]
+                seen["take"] += 1
+        assert seen == {"child": 2479, "take": 1366}
         assert moore._down_sets(64) == [
             sum(1 << s for s in range(64) if s & x == s) for x in range(64)]
 
     def test_first_chunk_builds_one_block(self, monkeypatch):
-        """The stored children are recorded as the search walks, not ahead of
-        it: the first chunk of ``enumerate_record_texts(5)`` asks for one
-        block outside ``_block`` itself, the one block that a search without
-        stored states asks for."""
+        """Blocks are built as the search walks, not ahead of it: the first
+        chunk of ``enumerate_record_texts(5)`` asks for one block outside
+        ``_block`` itself."""
         block = moore._block
         depth, calls = [0], [0]
 
@@ -522,7 +516,9 @@ class TestEnumeration:
     def test_record_texts_keep_nothing_between_calls(self):
         """The block memo goes with each stream: a second pass builds as much
         as the first, and neither leaves anything behind."""
-        next(enumerate_record_texts(4))  # warm-up: first-call allocations stay out
+        # Warm-up: one full pass, so the first measured pass does not refill
+        # the interpreter's free lists, which would count against the second.
+        collections.deque(enumerate_record_texts(4), maxlen=0)
         tracemalloc.start()
         try:
             built = []
