@@ -23,6 +23,17 @@ def pairwise_closure(subsets, n):
         family = grown
 
 
+def pair_meets_by_definition(cands):
+    """Bitmask of the meets d & e of every pair of distinct bits d, e of
+    ``cands``, by a quadratic loop over the listed bits."""
+    listed = [d for d in range(cands.bit_length()) if cands >> d & 1]
+    relevant = 0
+    for i, d in enumerate(listed):
+        for e in listed[i + 1:]:
+            relevant |= 1 << (d & e)
+    return relevant
+
+
 def hasse_by_definition(elements, leq):
     """Covers (i, j) of a preorder straight from the definition: i is strictly
     below j (i <= j and not j <= i), and no m is strictly between them."""

@@ -62,6 +62,14 @@ class TestCount:
         assert code == 2 and out == ""
         assert err.count("refused") == 1 and "force" not in err
 
+    def test_guard_refusal_names_the_search(self, capsys):
+        """``count 6`` enumerates nothing, so its refusal names the family
+        search, not an enumeration."""
+        code, out, err = run(capsys, "count", "6")
+        assert code == 2 and out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert "family search" in err and "enumeration" not in err
+
     @pytest.mark.parametrize("argv", [
         ("count", "0"),
         ("enumerate", "0"),

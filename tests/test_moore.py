@@ -11,7 +11,8 @@ import types
 import pytest
 
 from conftest import (
-    hasse_by_definition, iso_by_permutations, pairwise_closure, random_preorder)
+    hasse_by_definition, iso_by_permutations, pair_meets_by_definition,
+    pairwise_closure, random_preorder)
 
 from dedstar import moore
 from dedstar.moore import (
@@ -456,6 +457,61 @@ class TestEnumeration:
         memo, meets, down = seen[0]
         assert all(a is memo and b is meets and c is down for a, b, c in seen)
         assert (len(memo), len(meets), len(seen)) == (258, 129, 517)
+
+    def test_count_memo_census_n5(self, monkeypatch):
+        """``count_moore(5)`` keeps one memo, pair-meets dict and down-set
+        list, seen through every ``_completions`` call, of 18 675 counts and
+        7 411 pair-meet masks, in 37 351 calls: a counter change that stops
+        sharing states, or that keeps a pair-meet mask for every suffix of
+        a candidate set, fails here."""
+        completions = moore._completions
+        seen = []
+
+        def watched(*args):
+            seen.append(args[:3])
+            return completions(*args)
+
+        monkeypatch.setattr(moore, "_completions", watched)
+        assert count_moore(5) == KNOWN_COUNTS[5]
+        memo, meets, down = seen[0]
+        assert all(a is memo and b is meets and c is down for a, b, c in seen)
+        assert (len(memo), len(meets), len(seen)) == (18675, 7411, 37351)
+
+    @pytest.mark.parametrize("source", ["count_moore_4", "random_n5"])
+    def test_pair_meets_match_definition(self, monkeypatch, source):
+        """``_pair_meets`` against ``pair_meets_by_definition``, on every
+        candidate mask that ``count_moore(4)`` keys, in the order it keys
+        them, or on 2 000 seeded random masks over the 31 proper subsets at
+        n = 5.  Each mask is built once with a fresh ``meets`` dict and once
+        with one dict shared by all of them, which then holds the mask of
+        each one without its least candidate, and of every suffix built on
+        the way; each stored mask is checked too."""
+        if source == "count_moore_4":
+            state_key = moore._state_key
+            masks = []
+
+            def watched(meets, width, present, cands):
+                masks.append(cands)
+                return state_key(meets, width, present, cands)
+
+            monkeypatch.setattr(moore, "_state_key", watched)
+            assert count_moore(4) == KNOWN_COUNTS[4]
+            monkeypatch.undo()
+            assert len(set(masks)) == 129
+        else:
+            rng = random.Random(29)
+            masks = [sum(1 << d for d in rng.sample(range(31), rng.randint(0, 31)))
+                     for _ in range(2000)]
+        shared = {}
+        for mask in masks:
+            expected = pair_meets_by_definition(mask)
+            assert moore._pair_meets({}, mask) == expected
+            assert moore._pair_meets(shared, mask) == expected
+        for mask in masks:
+            rest = mask & (mask - 1)
+            assert rest & (rest - 1) == 0 or rest in shared
+        for mask, relevant in shared.items():
+            assert relevant == pair_meets_by_definition(mask)
 
     def test_take_branch_keeps_the_search_children(self, monkeypatch):
         """``_child_candidates``, the one child rule, keeps the candidates of
