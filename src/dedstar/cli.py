@@ -36,6 +36,9 @@ class InputError(ValueError):
 # Parsing helpers
 
 _BARE_KEY = re.compile(r'([{\s,])([A-Za-z_]\w*)\s*:')
+#: An integer token once stripped: a sign and ASCII decimal digits, no more.
+#: ``int()`` alone would also read "1_0" and non-ASCII digits such as "٣".
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _lenient_json(text: str) -> dict:
@@ -71,6 +74,17 @@ def _parse_record(source: str, build, what: str):
         raise InputError(f"bad {what}: {exc}") from exc
 
 
+def _parse_int(token: str, what: str) -> int:
+    """The integer a token spells under ``_INTEGER``; else malformed input."""
+    text = token.strip()
+    if _INTEGER.fullmatch(text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"bad {what} {token!r}")
+
+
 def parse_family(text: str) -> MooreFamily:
     return _parse_record(text, moore.family_from_record, "family record")
 
@@ -89,10 +103,7 @@ def parse_vector_inline(text: str):
         if token == "inf":
             entries.append(POS_INF)
         elif token != "-inf":
-            try:
-                entries.append(int(token))
-            except ValueError as exc:
-                raise InputError(f"bad vector token {token!r}") from exc
+            entries.append(_parse_int(token, "vector token"))
     if "-inf" in tokens:
         return ZERO
     return extvec.ValVector(tuple(range(len(entries))), tuple(entries))
@@ -229,7 +240,7 @@ def star_v_of(module_text: str) -> None:
 @click.option("--localized-at", "x_text", default="",
               help="comma-separated prime indices of the overring (empty for K)")
 def star_d_of(n: int, x_text: str) -> None:
-    x = [int(tok) for tok in x_text.split(",") if tok.strip() != ""]
+    x = [_parse_int(tok, "prime index") for tok in x_text.split(",") if tok.strip() != ""]
     moore.guard_ground_set(n)  # before range(n) is built
     star = stars.d_of_overring(tuple(range(n)), x)
     click.echo(moore.family_record_text(star.family))
@@ -241,7 +252,7 @@ def star_d_of(n: int, x_text: str) -> None:
 @click.option("--member", "member_text", default=None)
 def cmd_adapter(primes_text: str, gens_text: str, member_text: Optional[str]) -> None:
     """Valuation vector of a rational-generated ideal, or a membership test."""
-    primes = tuple(int(tok) for tok in primes_text.split(","))
+    primes = tuple(_parse_int(tok, "prime") for tok in primes_text.split(","))
     gens = tuple(rationals.parse_rational(tok) for tok in gens_text.split(","))
     vec = rationals.vector_of_module(rationals.FracIdealSpec(primes, gens))
     if member_text is None:

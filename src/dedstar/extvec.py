@@ -128,13 +128,11 @@ def vec_mul(f: ModuleVector, g: ModuleVector) -> ModuleVector:
 def vec_inf(fs: Iterable[ValVector], primes: Sequence[Hashable]) -> ValVector:
     """Module intersection: pointwise minimum; empty input gives the top."""
     result = top(primes)
+    entries = result.entries
     for f in fs:
         _same_spectrum(result, f)
-        result = ValVector(
-            result.primes,
-            tuple(a if ext_le(a, b) else b for a, b in zip(result.entries, f.entries)),
-        )
-    return result
+        entries = tuple(a if ext_le(a, b) else b for a, b in zip(entries, f.entries))
+    return ValVector(result.primes, entries)
 
 
 def vec_le(f: ValVector, g: ValVector) -> bool:

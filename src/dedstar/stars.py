@@ -18,7 +18,6 @@ from .extvec import (
     SpectrumError,
     ValVector,
     ZeroModuleError,
-    inf_support,
     iota,
     top,
     vec_colon,
@@ -80,7 +79,12 @@ def _on_spectrum(star: Star, f: ModuleVector) -> ValVector:
 
 
 def _support_mask(f: ValVector) -> int:
-    return mask_of(inf_support(f), f.n)
+    """Bitmask of the indices where f is +inf, read from its entries."""
+    mask = 0
+    for i, e in enumerate(f.entries):
+        if e is POS_INF:
+            mask |= 1 << i
+    return mask
 
 
 def apply(star: Star, f: ModuleVector) -> ValVector:

@@ -5,9 +5,10 @@ import itertools
 from fractions import Fraction
 
 from dedstar.extvec import (
-    POS_INF, SpectrumError, ValVector, inf_support, top, vec_colon, vec_inf, ZERO)
+    POS_INF, SpectrumError, ValVector, ext_le, inf_support, top, vec_colon, vec_inf, ZERO)
+from dedstar.extvec import _same_spectrum
 from dedstar.moore import GuardError, mask_of
-from dedstar.rationals import FracIdealSpec
+from dedstar.rationals import FracIdealSpec, padic_val
 from dedstar.stars import apply
 
 
@@ -163,7 +164,7 @@ def finite_type_by_truncation(star, samples, bound):
 def frac_spec(primes, gens):
     """``FracIdealSpec`` from any prime sequence and generators that
     ``Fraction`` reads, such as "1/2"."""
-    return FracIdealSpec(tuple(primes), tuple(Fraction(g) for g in gens))
+    return FracIdealSpec(tuple(primes), tuple(gens))
 
 
 def product_spec(I, J):
@@ -171,6 +172,45 @@ def product_spec(I, J):
     if I.primes != J.primes:
         raise ValueError("prime lists differ")
     return FracIdealSpec(I.primes, tuple(a * b for a in I.gens for b in J.gens))
+
+
+def vector_by_definition(spec):
+    """Entry p is -min v_p(g) over the generators, one ``padic_val`` call per
+    (generator, prime) pair."""
+    return ValVector(spec.primes, tuple(
+        -min(padic_val(g, p) for g in spec.gens) for p in spec.primes))
+
+
+def colon_by_definition(I, J):
+    """(I : J) as the intersection of x^{-1} I over generators x of J: entry p
+    is min over x of vI + v_p(x), with vI the entry of I's vector at p."""
+    if I.primes != J.primes:
+        raise ValueError("prime lists differ")
+    vI = vector_by_definition(I).entries
+    return ValVector(I.primes, tuple(
+        min(vI[i] + padic_val(x, p) for x in J.gens) for i, p in enumerate(I.primes)))
+
+
+def member_by_definition(f, r):
+    """r is in the module with vector f when each entry e is +inf or
+    -e <= v_p(r), with ``padic_val`` called once per finite entry."""
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("membership test is for nonzero elements")
+    return all(e is POS_INF or -e <= padic_val(r, p) for p, e in zip(f.primes, f.entries))
+
+
+def vec_inf_pairwise(fs, primes):
+    """Pointwise minimum folded one vector at a time from the top, building a
+    ``ValVector`` for every step."""
+    result = top(primes)
+    for f in fs:
+        _same_spectrum(result, f)
+        result = ValVector(
+            result.primes,
+            tuple(a if ext_le(a, b) else b for a, b in zip(result.entries, f.entries)),
+        )
+    return result
 
 
 def closed_windowed_set(member_masks, primes, bound):

@@ -550,6 +550,45 @@ class TestAdapter:
         assert "refused" in err
 
 
+#: Integer tokens the CLI refuses.  ``int()`` reads the first four: an
+#: underscore, and digits outside ASCII (Arabic-Indic three, fullwidth one,
+#: Devanagari two).
+NON_DECIMAL_TOKENS = ["1_1", "\u0663", "\uff11", "\u0968", "1 1", "0x1", "+-1"]
+
+
+class TestIntegerTokens:
+    @pytest.mark.parametrize("token", NON_DECIMAL_TOKENS)
+    @pytest.mark.parametrize("verb", ["primes", "localized-at", "module"])
+    def test_refused(self, capsys, verb, token):
+        argv = {
+            "primes": ("adapter", "--primes", f"2,{token}", "--gens", "1/2"),
+            "localized-at": ("star", "d-of", "--n", "12", "--localized-at", f"0,{token}"),
+            "module": ("star", "apply", "--family", "{n:2,members:[[0,1]]}",
+                       "--module", f"(0,{token})"),
+        }[verb]
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("input error: bad ") and repr(token) in err
+
+    @pytest.mark.parametrize("spelled, plain", [
+        (("adapter", "--primes", " 2 , +3", "--gens", "1/2"),
+         ("adapter", "--primes", "2,3", "--gens", "1/2")),
+        (("adapter", "--primes", "+5,2", "--gens", "1/10", "--member", "1/4"),
+         ("adapter", "--primes", "5,2", "--gens", "1/10", "--member", "1/4")),
+        (("star", "d-of", "--n", "3", "--localized-at", " +0 ,, 02 "),
+         ("star", "d-of", "--n", "3", "--localized-at", "0,2")),
+        (("star", "apply", "--family", "{n:3,members:[[0],[0,1,2]]}",
+          "--module", "( +7 , -0 ,inf )"),
+         ("star", "apply", "--family", "{n:3,members:[[0],[0,1,2]]}",
+          "--module", "(7,0,inf)")),
+        (("star", "v-of", "--module", "(-007, 3 )"), ("star", "v-of", "--module", "(-7,3)")),
+    ], ids=["primes", "member", "localized-at", "apply", "v-of"])
+    def test_signs_spaces_and_zeros_read_as_before(self, capsys, spelled, plain):
+        expected = run(capsys, *plain)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *spelled) == expected
+
+
 class TestHasse:
     def test_two_node_chain(self, capsys):
         code, out, _ = run(capsys, "hasse", "1")

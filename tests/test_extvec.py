@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import frac_spec, preceq
+from conftest import frac_spec, preceq, vec_inf_pairwise
 
 from dedstar.extvec import (
     POS_INF,
@@ -151,6 +151,43 @@ class TestVectorBasics:
     def test_spectrum_mismatch(self):
         with pytest.raises(SpectrumError):
             vec_mul(ValVector((2,), (0,)), ValVector((3,), (0,)))
+
+
+@st.composite
+def vector_lists(draw):
+    """0 to 5 vectors over one spectrum of 1 to 4 primes, entries from EDGE."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.sampled_from(EDGE)] * n)
+    primes = tuple(range(10, 10 + n))
+    return primes, [ValVector(primes, e) for e in draw(st.lists(row, max_size=5))]
+
+
+class TestVecInf:
+    @given(vector_lists())
+    def test_matches_pairwise_fold(self, case):
+        primes, fs = case
+        assert vec_inf(fs, primes) == vec_inf_pairwise(fs, primes)
+
+    def test_one_shot_generator(self):
+        p = (2, 3)
+        fs = [ValVector(p, (1, POS_INF)), ValVector(p, (3, -4))]
+        assert vec_inf((f for f in fs), p) == ValVector(p, (1, -4))
+
+    def test_third_vector_off_spectrum(self):
+        fs = [ValVector((2, 3), (0, 0)), ValVector((2, 3), (1, 1)), ValVector((2, 5), (0, 0))]
+        with pytest.raises(SpectrumError) as raised:
+            vec_inf(fs, [2, 3])
+        assert str(raised.value) == "prime lists differ: (2, 3) vs (2, 5)"
+        with pytest.raises(SpectrumError) as folded:
+            vec_inf_pairwise(fs, [2, 3])
+        assert str(folded.value) == str(raised.value)
+
+    def test_all_inf_column_stays_inf(self):
+        p = (2, 3, 5)
+        fs = [ValVector(p, (POS_INF, 1, POS_INF)), ValVector(p, (POS_INF, POS_INF, -2))]
+        result = vec_inf(fs, p)
+        assert result.entries[0] is POS_INF
+        assert result == ValVector(p, (POS_INF, 1, -2))
 
 
 class TestColon:

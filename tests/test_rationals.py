@@ -1,15 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import frac_spec, product_spec
+from conftest import (colon_by_definition, frac_spec, member_by_definition,
+                      product_spec, vector_by_definition)
 
 from dedstar import rationals
 from dedstar.extvec import I64_MIN, POS_INF, ValVector, one, vec_colon, vec_mul
 from dedstar.moore import GROUND_SET_GUARD, GuardError
 from dedstar.rationals import (
     PRIME_GUARD,
+    FracIdealSpec,
     RATIONAL_DIGIT_GUARD,
     colon_oracle,
     is_prime,
@@ -144,6 +150,91 @@ class TestProductLaw:
             assert vector_of_module(product_spec(spec_i, spec_j)) == vec_mul(
                 vector_of_module(spec_i), vector_of_module(spec_j)
             )
+
+
+def varied_spec(rng):
+    """``random_frac_spec``, and in two draws of three also a unit (a power
+    of 7 or 11, primes outside the list) alone or times a generator, and a
+    repeat of one generator."""
+    spec = random_frac_spec(rng)
+    if rng.random() < 1 / 3:
+        return spec
+    gens = list(spec.gens)
+    unit = Fraction(rng.choice((7, 11))) ** rng.choice((-2, -1, 1, 2))
+    gens.append(unit * rng.choice(gens + [1]))
+    gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return FracIdealSpec(spec.primes, tuple(gens))
+
+
+class TestAgainstDefinitions:
+    """The adapter against its per-(generator, prime) definitions in
+    ``conftest``, over 2 000 seeded pairs of specs."""
+
+    PAIRS = 2000
+
+    def test_vector_and_colon(self):
+        rng = random.Random(30)
+        for _ in range(self.PAIRS):
+            spec_i, spec_j = varied_spec(rng), varied_spec(rng)
+            assert vector_of_module(spec_i) == vector_by_definition(spec_i)
+            assert colon_oracle(spec_i, spec_j) == colon_by_definition(spec_i, spec_j)
+
+    def test_membership(self):
+        rng = random.Random(31)
+        for _ in range(self.PAIRS):
+            spec, other = varied_spec(rng), varied_spec(rng)
+            f = vector_of_module(spec)
+            # Some entries become +inf, so that both kinds of entry are met.
+            f = ValVector(f.primes, tuple(
+                POS_INF if rng.random() < 0.2 else e for e in f.entries))
+            for r in spec.gens + other.gens:
+                assert module_member(f, r) is member_by_definition(f, r)
+
+
+class TestSpecNormalisation:
+    @pytest.mark.parametrize("gens", [
+        (3, "3/4", Fraction(-5, 6)),
+        (Fraction(3), Fraction(3, 4), "-5/6"),
+        ("3", Fraction(6, 8), Fraction(-10, 12)),
+    ])
+    def test_generators_become_fractions(self, gens):
+        primes = (2, 3, 5)
+        reference = FracIdealSpec(primes, (Fraction(3), Fraction(3, 4), Fraction(-5, 6)))
+        spec = FracIdealSpec(primes, gens)
+        assert spec == reference and hash(spec) == hash(reference)
+        assert all(type(g) is Fraction for g in spec.gens)
+        assert vector_of_module(spec) == vector_of_module(reference)
+
+    @pytest.mark.parametrize("zero", [0, "0", "-0/7", Fraction(0)])
+    def test_zero_generator_refused_at_construction(self, zero):
+        with pytest.raises(ValueError, match="nonzero"):
+            FracIdealSpec((2, 3), (1, zero))
+
+
+#: The call in a child process: a dropped prime check would loop forever on
+#: p = 1 rather than fail, so the parent gives up after a timeout.
+MEMBER_ON_PRIMES = """\
+from fractions import Fraction
+from dedstar.extvec import ValVector
+from dedstar.rationals import module_member
+try:
+    module_member(ValVector(({prime!r},), (0,)), Fraction(3))
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("prime, error", [
+    (1, "ValueError"), (0, "ValueError"), (-3, "ValueError"), ("a", "TypeError"),
+])
+def test_module_member_refuses_a_non_prime_spectrum(prime, error):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", MEMBER_ON_PRIMES.format(prime=prime)],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == error + "\n"
 
 
 def test_parse_rational():
