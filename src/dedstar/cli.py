@@ -117,8 +117,30 @@ def format_vector(f) -> str:
 # ---------------------------------------------------------------------------
 # Commands
 
+class IntegerToken(click.IntRange):
+    """An integer parameter read by ``_parse_int``'s rule, then held to the
+    bounds of ``click.IntRange``; a token the rule refuses is a usage error
+    (exit code 4).  Unbounded, its help reads as ``click.INT``'s does."""
+
+    def __init__(self, min: Optional[int] = None) -> None:
+        super().__init__(min=min)
+        if min is None:
+            self.name = "integer"
+
+    def _describe_range(self) -> str:
+        return "" if self.min is None else super()._describe_range()
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):  # a default is already an int
+            try:
+                value = _parse_int(value, "integer")
+            except InputError as exc:
+                self.fail(str(exc), param, ctx)
+        return super().convert(value, param, ctx)
+
+
 #: Number of primes n; click rejects n < 1 as a usage error (exit code 4).
-SPECTRUM_SIZE = click.IntRange(min=1)
+SPECTRUM_SIZE = IntegerToken(min=1)
 
 
 @click.group()
@@ -163,8 +185,8 @@ SUITES = {
 @click.argument("suite", type=click.Choice(list(SUITES)))
 @click.argument("n", type=SPECTRUM_SIZE, default=3)
 @click.option("--max-n", type=SPECTRUM_SIZE, default=4)
-@click.option("--trials", type=click.IntRange(min=1), default=1000)
-@click.option("--seed", type=int, default=0)
+@click.option("--trials", type=IntegerToken(min=1), default=1000)
+@click.option("--seed", type=IntegerToken(), default=0)
 @click.pass_context
 def cmd_verify(ctx: click.Context, suite: str, **args) -> None:
     """Run a verification suite; exit 1 on any failed assertion."""

@@ -10,7 +10,7 @@ families, and walk a state of more candidates again on each visit.  Only
 families without walking them: it takes or skips one candidate at a time,
 through a memo keyed by the search's ``_state_key``.  Both keep a later
 candidate by one child rule, ``_child_candidates``, a product of down-sets.
-No memo or text outlives a call, and no call leaves a reference cycle.
+No memo, table or text outlives a call, and no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -25,6 +25,8 @@ from typing import (
     TypeVar)
 
 _T = TypeVar("_T")
+#: ``_lanes``' table: for each subset c, the steps of the fold onto c.
+_Lanes = List[List[Tuple[int, int]]]
 
 #: Exact family counts for small ground sets, used by guards and verification.
 KNOWN_COUNTS = {1: 2, 2: 7, 3: 61, 4: 2480, 5: 1385552}
@@ -223,12 +225,14 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     children, sorts after theirs.  ``_walk`` lists a state's children, each
     a block or a walk, and is the one reader and writer of the call's memo;
     ``_unfold`` turns them into blocks.  Its stack is explicit: ``yield
-    from`` made the search about 40% slower.  The memo and the down-sets of
-    ``_down_sets`` are built once per call, and the walks are module-level
-    functions, so nothing outlives the call and no reference cycle holds it.
+    from`` made the search about 40% slower.  The memo, the down-sets of
+    ``_down_sets`` and the fold steps of ``_lanes`` are built once per call,
+    and the walks are module-level functions, so nothing outlives the call
+    and no reference cycle holds it.
     """
     width = full + 1
-    root = _walk({}, {}, _down_sets(width), width, items, last, 0, (1 << full) - 1)
+    down = _down_sets(width)
+    root = _walk({}, {}, down, _lanes(down), width, items, last, 0, (1 << full) - 1)
     return _unfold(items, last, start, root)
 
 
@@ -254,8 +258,8 @@ def _unfold(items: Sequence[_T], last: _T, start: _T,
 
 
 def _walk(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
-          width: int, items: Sequence[_T], last: _T, present: int, cands: int
-          ) -> Iterator[Tuple[int, object]]:
+          lanes: _Lanes, width: int, items: Sequence[_T], last: _T, present: int,
+          cands: int) -> Iterator[Tuple[int, object]]:
     """The children of a search state, in order, as pairs (piece index c,
     child): a prefix (bit s of ``present`` set iff s is in it) adds a
     candidate c, a bit of ``cands``, and keeps the later candidates that
@@ -273,13 +277,14 @@ def _walk(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
         if not rest:
             child = (last,)
         elif rest.bit_count() > BLOCK_CANDIDATES:
-            child = _walk(memo, meets, down, width, items, last, present | low, rest)
+            child = _walk(memo, meets, down, lanes, width, items, last,
+                          present | low, rest)
         else:
-            key = _state_key(meets, width, present | low, rest)
+            key = _state_key(meets, lanes, width, present | low, rest)
             child = memo.get(key)
             if child is None:
-                child = memo[key] = _block(memo, meets, down, width, items, last,
-                                           present | low, rest)
+                child = memo[key] = _block(memo, meets, down, lanes, width, items,
+                                           last, present | low, rest)
         yield c, child
 
 
@@ -300,55 +305,63 @@ def _child_candidates(down: List[int], width: int, present: int, c: int,
     return later & (present & down[c] | 1 << c) * down[(width - 1) ^ c]
 
 
-def _pair_meets(meets: Dict[int, int], cands: int) -> int:
+def _pair_meets(meets: Dict[int, int], lanes: _Lanes, cands: int) -> int:
     """Bitmask of the pairwise meets d & e of the candidates, the bits of
     ``cands``, for the memo key.  With c the least candidate and rest the
     others, the pairs are those of rest and (c, d) for each d in rest, so
-    meets(cands) = meets(rest) | OR of 1 << (c & d) over d in rest: linear
-    in the candidates, not quadratic.  meets(rest) is read from ``meets``,
-    or built the same way and stored there on a miss, and is 0 when rest
-    has at most one bit.  One level of recursion per candidate, so at most
-    2^n - 1 deep on n points: 31 at n = 5."""
+    meets(cands) = meets(rest) | image, where image, the bitmask of
+    {c & d : d in rest}, is rest folded onto the subsets of c: linear in the
+    candidates, not quadratic.  meets(rest) is read from ``meets``, or built
+    the same way and stored there on a miss, and is 0 when rest has at most
+    one bit.  One level of recursion per candidate, so at most 2^n - 1 deep
+    on n points: 31 at n = 5.
+
+    The fold takes one step per point p outside c (p its bit value, 1 << i),
+    from ``lanes[c]``, the pairs (down[full ^ p], p) of ``_lanes``: it moves
+    the bit of each subset x | p onto x, by rest | rest >> p, and keeps the
+    subsets without p, by & down[full ^ p].  That maps each d to d & ~p, so
+    all the steps map it to d & c: n - |c| steps of three int operations,
+    not one loop step per candidate."""
     low = cands & -cands
-    c = low.bit_length() - 1
     rest = cands ^ low
     relevant = 0
     if rest & (rest - 1):
         relevant = meets.get(rest)
         if relevant is None:
-            relevant = meets[rest] = _pair_meets(meets, rest)
-    while rest:
-        low = rest & -rest
-        relevant |= 1 << (c & (low.bit_length() - 1))
-        rest ^= low
-    return relevant
+            relevant = meets[rest] = _pair_meets(meets, lanes, rest)
+    for inside, p in lanes[low.bit_length() - 1]:
+        rest = (rest | rest >> p) & inside
+    return relevant | rest
 
 
-def _state_key(meets: Dict[int, int], width: int, present: int, cands: int) -> int:
+def _state_key(meets: Dict[int, int], lanes: _Lanes, width: int, present: int,
+               cands: int) -> int:
     """The memo key of a state of the search or of the counter: a prefix
     (bit s of ``present`` set iff s is in it) and its candidates, the bits
     of ``cands``.  The key is the candidates over the prefix members among
     their pairwise meets, each a bitmask over the ``width`` subsets;
     ``meets`` holds each candidate set's pairwise meets, built by
-    ``_pair_meets`` from those of the set without its least candidate,
-    which it reads from ``meets`` or stores there.  The only builder of a
-    memo key."""
+    ``_pair_meets`` from those of the set without its least candidate c,
+    which it reads from ``meets`` or stores there, and the meets with c:
+    the others folded onto the subsets of c, one step (rest | rest >> p) &
+    down[full ^ p] per point p outside c, from ``lanes``.  The only builder
+    of a memo key."""
     relevant = meets.get(cands)
     if relevant is None:
-        relevant = meets[cands] = _pair_meets(meets, cands)
+        relevant = meets[cands] = _pair_meets(meets, lanes, cands)
     return cands << width | (relevant & present)
 
 
 def _block(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
-           width: int, items: Sequence[_T], last: _T, present: int, cands: int
-           ) -> Tuple[_T, ...]:
+           lanes: _Lanes, width: int, items: Sequence[_T], last: _T, present: int,
+           cands: int) -> Tuple[_T, ...]:
     """The suffix folds of every family at and below a state of
     ``_closed_blocks``' search, in canonical order: a prefix (bit s of
     ``present`` set iff s is in it) and its candidates, the bits of
     ``cands``.  Only builds; ``_walk`` looks the block up and keeps it, and
     also memoises the state's children, every one of which is a block."""
     suffixes = [items[c] + s for c, child in
-                _walk(memo, meets, down, width, items, last, present, cands)
+                _walk(memo, meets, down, lanes, width, items, last, present, cands)
                 for s in child]
     suffixes.append(last)
     return tuple(suffixes)
@@ -365,8 +378,26 @@ def _down_sets(width: int) -> List[int]:
     return down
 
 
+def _lanes(down: List[int]) -> _Lanes:
+    """``lanes[c]`` lists the steps of ``_pair_meets``' fold onto the subsets
+    of c, for each subset c that ``down`` lists: one pair (down[full ^ p], p),
+    the subsets without p and p, for each point p outside c, as its bit
+    value 1 << i, ascending.  Those of c are the step of its least point p
+    outside it and then those of c | p, so each list is built from one
+    already built.  Lists, not tuples: ``tuple()`` of a generator resizes
+    its tuple, and on CPython 3.11 the tuples freed each call piled up in
+    the interpreter's free lists, 0.5 MB of peak RSS over the benchmark's
+    10 s census."""
+    full = len(down) - 1
+    lanes = [[]] * len(down)
+    for c in reversed(range(full)):
+        p = (c + 1) & ~c
+        lanes[c] = [(down[full ^ p], p), *lanes[c | p]]
+    return lanes
+
+
 def _completions(memo: Dict[int, int], meets: Dict[int, int], down: List[int],
-                 width: int, present: int, cands: int) -> int:
+                 lanes: _Lanes, width: int, present: int, cands: int) -> int:
     """Families at and below a state of ``_closed_blocks``' search: a prefix
     (bit s of ``present`` set iff s is in it) and its candidates, the bits
     of ``cands``, each past every prefix member.
@@ -385,20 +416,20 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], down: List[int],
     the search's states are.  The key counts sets, not paths, so it is sound
     also at the states that only the branch on c reaches, a prefix with c
     skipped.  A module-level function, not a closure: a recursive closure
-    is a reference cycle that keeps ``memo``, ``meets`` and ``down`` alive
-    until the cycle collector runs.
+    is a reference cycle that keeps ``memo``, ``meets``, ``down`` and
+    ``lanes`` alive until the cycle collector runs.
     """
     if not cands & (cands - 1):
         return 1 + (cands != 0)
-    key = _state_key(meets, width, present, cands)
+    key = _state_key(meets, lanes, width, present, cands)
     total = memo.get(key)
     if total is None:
         low = cands & -cands
         c = low.bit_length() - 1
         rest = cands ^ low
         total = memo[key] = (
-            _completions(memo, meets, down, width, present, rest)
-            + _completions(memo, meets, down, width, present | low,
+            _completions(memo, meets, down, lanes, width, present, rest)
+            + _completions(memo, meets, down, lanes, width, present | low,
                            _child_candidates(down, width, present, c, rest)))
     return total
 
@@ -407,7 +438,8 @@ def count_moore(n: int) -> int:
     """Number of intersection-closed families on an n-element ground set."""
     full = _searchable_full_set(n)
     width = full + 1
-    return _completions({}, {}, _down_sets(width), width, 0, (1 << full) - 1)
+    down = _down_sets(width)
+    return _completions({}, {}, down, _lanes(down), width, 0, (1 << full) - 1)
 
 
 def enumerate_moore(n: int) -> Iterator[MooreFamily]:

@@ -41,8 +41,9 @@ class FracIdealSpec:
 
     Rationals supported on primes outside the declared list are units of the
     localization, so arbitrary nonzero rationals are acceptable generators.
-    Each generator may be anything ``Fraction`` reads, such as 3 or "3/4";
-    the spec stores it as a ``Fraction``.
+    Each generator may be anything ``Fraction`` reads, such as 3 or "3/4",
+    but a ``float``: 0.1 is the binary fraction nearest 1/10, not 1/10, so it
+    is refused.  The spec stores each generator as a ``Fraction``.
     """
 
     primes: Tuple[int, ...]
@@ -61,6 +62,8 @@ class FracIdealSpec:
             raise ValueError("duplicate primes")
         if not self.gens:
             raise ValueError("generator list must be nonempty")
+        if any(isinstance(g, float) for g in self.gens):
+            raise TypeError(f"generators must not be floats: {self.gens}")
         gens = tuple(map(Fraction, self.gens))
         object.__setattr__(self, "gens", gens)
         if any(g == 0 for g in gens):

@@ -582,11 +582,36 @@ class TestIntegerTokens:
          ("star", "apply", "--family", "{n:3,members:[[0],[0,1,2]]}",
           "--module", "(7,0,inf)")),
         (("star", "v-of", "--module", "(-007, 3 )"), ("star", "v-of", "--module", "(-7,3)")),
-    ], ids=["primes", "member", "localized-at", "apply", "v-of"])
+        (("count", " +003 "), ("count", "3")),
+        (("enumerate", "02"), ("enumerate", "2")),
+        (("hasse", "+2"), ("hasse", "2")),
+        (("verify", "table1", "--max-n", " 03"), ("verify", "table1", "--max-n", "3")),
+        (("star", "d-of", "--n", "+03 "), ("star", "d-of", "--n", "3")),
+        (("verify", "oracles", "--trials", "007", "--seed", " -09 "),
+         ("verify", "oracles", "--trials", "7", "--seed", "-9")),
+    ], ids=["primes", "member", "localized-at", "apply", "v-of", "count", "enumerate",
+            "hasse", "max-n", "n", "trials-seed"])
     def test_signs_spaces_and_zeros_read_as_before(self, capsys, spelled, plain):
         expected = run(capsys, *plain)
         assert expected[0] == 0 and expected[1]
         assert run(capsys, *spelled) == expected
+
+    @pytest.mark.parametrize("token", NON_DECIMAL_TOKENS)
+    @pytest.mark.parametrize("argv", [
+        ("count", "{}"),
+        ("enumerate", "{}"),
+        ("verify", "finite-type", "{}"),
+        ("hasse", "{}"),
+        ("verify", "table1", "--max-n", "{}"),
+        ("star", "d-of", "--n", "{}"),
+        ("verify", "oracles", "--trials", "{}"),
+        ("verify", "oracles", "--seed", "{}"),
+    ], ids=["count-n", "enumerate-n", "verify-n", "hasse-n", "max-n", "n", "trials",
+            "seed"])
+    def test_click_parameter_refused(self, capsys, argv, token):
+        code, out, err = run(capsys, *(a.format(token) for a in argv))
+        assert code == 4 and out == ""
+        assert err.startswith("input error: ") and f"bad integer {token!r}" in err
 
 
 class TestHasse:

@@ -81,9 +81,10 @@ def walked_children(memo, full):
     unfolded, so every walk is read to its end before the next child."""
     items = [(c,) for c in range(full)]
     meets, down = {}, moore._down_sets(full + 1)
+    lanes = moore._lanes(down)
     for present, cands in search_states(0, list(range(full))):
-        walk = moore._walk(memo, meets, down, full + 1, items, (full,), present,
-                           sum(1 << c for c in cands))
+        walk = moore._walk(memo, meets, down, lanes, full + 1, items, (full,),
+                           present, sum(1 << c for c in cands))
         for (c, child), (c_, grown, rest) in zip(walk, search_children(present, cands),
                                                  strict=True):
             assert c == c_
@@ -335,10 +336,12 @@ class TestEnumeration:
         the second."""
         full = 15
         memo, meets, down = {}, {}, moore._down_sets(full + 1)
+        lanes = moore._lanes(down)
         seen = 0
         for present, cands in search_states(0, list(range(full))):
             mask = sum(1 << c for c in cands)
-            assert (moore._completions(memo, meets, down, full + 1, present, mask)
+            assert (moore._completions(memo, meets, down, lanes, full + 1, present,
+                                       mask)
                     == sum(1 for _ in search_states(present, cands)))
             seen += 1
         assert seen == KNOWN_COUNTS[4]
@@ -354,6 +357,7 @@ class TestEnumeration:
         full = 31
         rng = random.Random(26)
         memo, meets, down = {}, {}, moore._down_sets(full + 1)
+        lanes = moore._lanes(down)
         sizes = []
         for _ in range(20):
             present, cands = 0, list(range(full))
@@ -365,7 +369,8 @@ class TestEnumeration:
                 size = sum(1 for _ in itertools.islice(search_states(present, cands),
                                                        limit + 1))
             mask = sum(1 << c for c in cands)
-            assert moore._completions(memo, meets, down, full + 1, present, mask) == size
+            assert (moore._completions(memo, meets, down, lanes, full + 1, present,
+                                       mask) == size)
             sizes.append(size)
         assert len(set(sizes)) >= 10 and max(sizes) > limit // 2
 
@@ -402,12 +407,13 @@ class TestEnumeration:
         full = 15
         width = full + 1
         memo = {}
+        lanes = moore._lanes(moore._down_sets(width))
         seen = collections.Counter()
         for grown, rest, child, listed, expected in walked_children(memo, full):
             assert listed == expected
             if not rest:
                 continue
-            key = moore._state_key({}, width, grown, sum(1 << d for d in rest))
+            key = moore._state_key({}, lanes, width, grown, sum(1 << d for d in rest))
             if len(rest) <= moore.BLOCK_CANDIDATES:
                 assert child is memo[key]
                 seen["block"] += 1
@@ -490,9 +496,9 @@ class TestEnumeration:
             state_key = moore._state_key
             masks = []
 
-            def watched(meets, width, present, cands):
+            def watched(meets, lanes, width, present, cands):
                 masks.append(cands)
-                return state_key(meets, width, present, cands)
+                return state_key(meets, lanes, width, present, cands)
 
             monkeypatch.setattr(moore, "_state_key", watched)
             assert count_moore(4) == KNOWN_COUNTS[4]
@@ -502,16 +508,46 @@ class TestEnumeration:
             rng = random.Random(29)
             masks = [sum(1 << d for d in rng.sample(range(31), rng.randint(0, 31)))
                      for _ in range(2000)]
+        lanes = moore._lanes(moore._down_sets(32))
         shared = {}
         for mask in masks:
             expected = pair_meets_by_definition(mask)
-            assert moore._pair_meets({}, mask) == expected
-            assert moore._pair_meets(shared, mask) == expected
+            assert moore._pair_meets({}, lanes, mask) == expected
+            assert moore._pair_meets(shared, lanes, mask) == expected
         for mask in masks:
             rest = mask & (mask - 1)
             assert rest & (rest - 1) == 0 or rest in shared
         for mask, relevant in shared.items():
             assert relevant == pair_meets_by_definition(mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pair_meets_fold_is_the_image(self, n):
+        """The fold of ``_pair_meets`` maps the candidates after c onto the
+        bitmask of {c & d : d in rest}, against that set built one d at a
+        time.  ``meets`` holds 0 for rest, so the image is all that is
+        returned.  For n <= 4, every c and every rest of subsets after c;
+        for n = 5 and n = 6 (width 64), 2 000 seeded pairs each, rest of a
+        random size."""
+        width = 1 << n
+        lanes = moore._lanes(moore._down_sets(width))
+        if n <= 4:
+            pairs = [(c, rest << c + 1) for c in range(width)
+                     for rest in range(1 << width - 1 - c)]
+        else:
+            rng = random.Random(31 + n)
+            pairs = []
+            for _ in range(2000):
+                c = rng.randrange(width)
+                later = range(c + 1, width)
+                rest = sum(1 << d for d in rng.sample(later, rng.randint(0, len(later))))
+                pairs.append((c, rest))
+        for c, rest in pairs:
+            image = 0
+            for d in range(c + 1, width):
+                if rest >> d & 1:
+                    image |= 1 << (c & d)
+            assert moore._pair_meets({rest: 0}, lanes, 1 << c | rest) == image
+        assert len(pairs) == (2 ** width - 1 if n <= 4 else 2000)
 
     def test_take_branch_keeps_the_search_children(self, monkeypatch):
         """``_child_candidates``, the one child rule, keeps the candidates of
@@ -527,12 +563,13 @@ class TestEnumeration:
         completions = moore._completions
         calls = []
 
-        def stub(memo, meets, down, width, present, cands):
+        def stub(memo, meets, down, lanes, width, present, cands):
             calls.append((present, cands))
             return 0
 
         monkeypatch.setattr(moore, "_completions", stub)
         meets, down = {}, moore._down_sets(width)
+        lanes = moore._lanes(down)
         seen = collections.Counter()
         for present, cands in search_states(0, list(range(full))):
             for i, (c, grown, rest) in enumerate(search_children(present, cands)):
@@ -543,7 +580,7 @@ class TestEnumeration:
                 if not later:
                     continue
                 calls.clear()
-                completions({}, meets, down, width, present, later | 1 << c)
+                completions({}, meets, down, lanes, width, present, later | 1 << c)
                 assert calls == [(present, later), (grown, kept)]
                 seen["take"] += 1
         assert seen == {"child": 2479, "take": 1366}

@@ -206,6 +206,14 @@ class TestSpecNormalisation:
         assert all(type(g) is Fraction for g in spec.gens)
         assert vector_of_module(spec) == vector_of_module(reference)
 
+    @pytest.mark.parametrize("gens", [(0.1,), (0.5,), (2, 1.0), ("1/10", -0.25)])
+    def test_float_generator_refused_at_construction(self, gens):
+        """A binary float is not the fraction it prints as: 0.1 read as its
+        exact value gives the vector (55, 0) at the primes (2, 5), where
+        "1/10" gives (1, 1).  So a float is refused, also one that is exact."""
+        with pytest.raises(TypeError, match="float"):
+            FracIdealSpec((2, 5), gens)
+
     @pytest.mark.parametrize("zero", [0, "0", "-0/7", Fraction(0)])
     def test_zero_generator_refused_at_construction(self, zero):
         with pytest.raises(ValueError, match="nonzero"):
