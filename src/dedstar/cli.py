@@ -114,6 +114,15 @@ def format_vector(f) -> str:
     return "(" + ",".join(tokens) + ")"
 
 
+def _echo(text: str, nl: bool = True, err: bool = False) -> None:
+    """Write one message to stdout, or to stderr with ``err``.  The stream is
+    passed to ``click.echo`` as ``file``: with none, click keeps a wrapper
+    for each ``sys.stdout`` and ``sys.stderr`` it meets, and the wrapper
+    keeps the stream alive, so a caller that swaps them per call would keep
+    every one."""
+    click.echo(text, nl=nl, file=sys.stderr if err else sys.stdout)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -152,7 +161,7 @@ def cli() -> None:
 @click.argument("n", type=SPECTRUM_SIZE)
 def cmd_count(n: int) -> None:
     """Print the number of semistar operations for an n-prime spectrum."""
-    click.echo(str(moore.count_moore(n)))
+    _echo(str(moore.count_moore(n)))
 
 
 @cli.command(name="enumerate")
@@ -197,7 +206,7 @@ def cmd_verify(ctx: click.Context, suite: str, **args) -> None:
             raise click.BadParameter(f"the {suite} suite does not read it", ctx, param)
     checks = run(*(args[name] for name in reads))
     for name, ok in checks:
-        click.echo(("PASS " if ok else "FAIL ") + name)
+        _echo(("PASS " if ok else "FAIL ") + name)
     if not all(ok for _, ok in checks):
         raise click.exceptions.Exit(EXIT_ASSERTION)
 
@@ -223,12 +232,12 @@ def _one_family(family_texts) -> MooreFamily:
 @click.option("--module", "module_text", required=True)
 def star_apply(family_texts, module_text: str) -> None:
     star = stars.star_from_moore(_one_family(family_texts))
-    click.echo(format_vector(stars.apply(star, parse_vector_inline(module_text))))
+    _echo(format_vector(stars.apply(star, parse_vector_inline(module_text))))
 
 
 def _echo_combined(family_texts, combine) -> None:
     ss = [stars.star_from_moore(parse_family(t)) for t in family_texts]
-    click.echo(moore.family_record_text(combine(ss).family))
+    _echo(moore.family_record_text(combine(ss).family))
 
 
 @cmd_star.command(name="meet")
@@ -247,14 +256,14 @@ def star_join_cmd(family_texts) -> None:
 @_family_option()
 def star_classify(family_texts) -> None:
     star = stars.star_from_moore(_one_family(family_texts))
-    click.echo(", ".join(stars.classify(star)))
+    _echo(", ".join(stars.classify(star)))
 
 
 @cmd_star.command(name="v-of")
 @click.option("--module", "module_text", required=True)
 def star_v_of(module_text: str) -> None:
     star = stars.v_of(parse_vector_inline(module_text))
-    click.echo(moore.family_record_text(star.family))
+    _echo(moore.family_record_text(star.family))
 
 
 @cmd_star.command(name="d-of")
@@ -265,7 +274,7 @@ def star_d_of(n: int, x_text: str) -> None:
     x = [_parse_int(tok, "prime index") for tok in x_text.split(",") if tok.strip() != ""]
     moore.guard_ground_set(n)  # before range(n) is built
     star = stars.d_of_overring(tuple(range(n)), x)
-    click.echo(moore.family_record_text(star.family))
+    _echo(moore.family_record_text(star.family))
 
 
 @cli.command(name="adapter")
@@ -278,10 +287,10 @@ def cmd_adapter(primes_text: str, gens_text: str, member_text: Optional[str]) ->
     gens = tuple(rationals.parse_rational(tok) for tok in gens_text.split(","))
     vec = rationals.vector_of_module(rationals.FracIdealSpec(primes, gens))
     if member_text is None:
-        click.echo(format_vector(vec))
+        _echo(format_vector(vec))
         return
     r = rationals.parse_rational(member_text)
-    click.echo("true" if rationals.module_member(vec, r) else "false")
+    _echo("true" if rationals.module_member(vec, r) else "false")
 
 
 @cli.command(name="hasse")
@@ -310,13 +319,13 @@ def cmd_hasse(n: Optional[int], star_files, fmt: str) -> None:
         for s in star_list
     ]
     if fmt == "dot":
-        click.echo(moore.hasse_dot(labels, edges), nl=False)
+        _echo(moore.hasse_dot(labels, edges), nl=False)
     else:
         payload = {
             "nodes": [moore.family_to_record(s.family) for s in star_list],
             "edges": [list(e) for e in edges],
         }
-        click.echo(json.dumps(payload, separators=(",", ":")))
+        _echo(json.dumps(payload, separators=(",", ":")))
 
 
 #: Longest error message echoed whole: a message may quote its input, and a
@@ -327,7 +336,7 @@ _MESSAGE_LIMIT = 200
 def _echo_error(label: str, message: str) -> None:
     if len(message) > _MESSAGE_LIMIT:
         message = f"{message[:_MESSAGE_LIMIT]}… ({len(message)} characters)"
-    click.echo(f"{label}: {message}", err=True)
+    _echo(f"{label}: {message}", err=True)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -3,14 +3,15 @@
 Subsets of {0..n-1} are encoded as integer bit patterns.  A family is stored
 as the ascending tuple of its member encodings; the full set is always a
 member (it is the empty intersection).  One depth-first search walks every
-family on n points in canonical order: ``enumerate_moore`` and
-``enumerate_record_texts`` hand it out in memoised blocks of at most 16
-families, and walk a state of more candidates again on each visit.  Only
-``_walk`` reads or writes the memo.  ``count_moore`` counts the same
-families without walking them: it takes or skips one candidate at a time,
-through a memo keyed by the search's ``_state_key``.  Both keep a later
-candidate by one child rule, ``_child_candidates``, a product of down-sets.
-No memo, table or text outlives a call, and no call leaves a reference cycle.
+family on n points in canonical order, on one explicit stack of states:
+``enumerate_moore`` and ``enumerate_record_texts`` hand it out in memoised
+blocks of at most 16 families, and walk a state of more candidates again on
+each visit.  Only ``_block`` reads or writes the memo.  ``count_moore``
+counts the same families without walking them: it takes or skips one
+candidate at a time, through a memo keyed by the search's ``_state_key``.
+Both keep a later candidate by one child rule, ``_child_candidates``, a
+product of down-sets.  No memo, table or text outlives a call, and no call
+leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -203,10 +204,10 @@ def _searchable_full_set(n: int) -> int:
 #: memoised block of at most 2^4 = 16 suffix folds, and handed out whole; a
 #: larger state is walked again on every visit.  ``enumerate_record_texts(5)``
 #: process time and peak RSS over a 16 MB start, by block bound, 3 runs each
-#: on a shared 2-core VM with Python 3.11: 3, 0.97-0.98 s, +0.4 MB; 4,
-#: 0.66-0.70 s, +1.4 MB; 5, 0.52-0.54 s, +4.4 MB; 6, 0.41 s, +11.3 MB.  Past 4
-#: a block grows the memory faster than the time falls.  At n = 5 the search
-#: keeps one memo of 1 334 blocks.
+#: on a shared 2-core VM with Python 3.11: 3, 0.46-0.52 s, +0.25 MB; 4,
+#: 0.30-0.38 s, +1.4 MB; 5, 0.24-0.34 s, +4.3 MB; 6, 0.21-0.27 s, +11.1 MB.
+#: Past 4 a block grows the memory faster than the time falls.  At n = 5 the
+#: search keeps one memo of 1 334 blocks.
 BLOCK_CANDIDATES = 4
 
 
@@ -220,72 +221,43 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     ``enumerate_moore`` and ``enumerate_record_texts``.
 
     Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
-    all p in P gives a child P + [c], whose candidates are P's after c with
-    d & c in P + [c].  So P + [full] is a family, and P, yielded after its
-    children, sorts after theirs.  ``_walk`` lists a state's children, each
-    a block or a walk, and is the one reader and writer of the call's memo;
-    ``_unfold`` turns them into blocks.  Its stack is explicit: ``yield
-    from`` made the search about 40% slower.  The memo, the down-sets of
-    ``_down_sets`` and the fold steps of ``_lanes`` are built once per call,
-    and the walks are module-level functions, so nothing outlives the call
-    and no reference cycle holds it.
+    all p in P gives a child P + [c], whose candidates are P's after c that
+    ``_child_candidates`` keeps.  So P + [full] is a family, and P, yielded
+    after its children, sorts after theirs.  A state is (fold, present,
+    cands): bit s of ``present`` is set iff s is in P, and the bits of
+    ``cands`` are the candidates still to add.  The loop takes the least
+    candidate c: a child of more than ``BLOCK_CANDIDATES`` candidates pushes
+    the rest of the state and becomes the state, a smaller one goes out as
+    its block from ``_block``, and a state out of candidates goes out as
+    ``(last,)`` and pops its parent.  The stack is explicit: ``yield from``
+    over nested generators made the search about 40% slower.  The memo of
+    blocks, the down-sets of ``_down_sets`` and the fold steps of ``_lanes``
+    are built once per call, and ``_block`` is a module-level function, so
+    nothing outlives the call and no reference cycle holds it.
     """
     width = full + 1
     down = _down_sets(width)
-    root = _walk({}, {}, down, _lanes(down), width, items, last, 0, (1 << full) - 1)
-    return _unfold(items, last, start, root)
-
-
-def _unfold(items: Sequence[_T], last: _T, start: _T,
-            children: Iterator[Tuple[int, object]]
-            ) -> Iterator[Tuple[_T, Tuple[_T, ...]]]:
-    """The pairs (prefix fold, block) at and below a state of the search,
-    from the state's children as ``_walk`` gives them.  A stack frame holds a
-    prefix's fold and its children still to come: a block is yielded, and a
-    walk is read as it goes."""
-    stack = [(start, children)]
-    while stack:
-        fold, children = stack[-1]
-        for c, child in children:
-            if child.__class__ is tuple:
-                yield fold + items[c], child
+    lanes = _lanes(down)
+    memo, meets, stack = {}, {}, []
+    fold, present, cands = start, 0, (1 << full) - 1
+    while True:
+        while cands:
+            low = cands & -cands
+            c = low.bit_length() - 1
+            cands ^= low
+            rest = _child_candidates(down, width, present, c, cands)
+            if not rest:
+                yield fold + items[c], (last,)
+            elif rest.bit_count() > BLOCK_CANDIDATES:
+                stack.append((fold, present, cands))
+                fold, present, cands = fold + items[c], present | low, rest
             else:
-                stack.append((fold + items[c], child))
-                break
-        else:
-            stack.pop()
-            yield fold, (last,)
-
-
-def _walk(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
-          lanes: _Lanes, width: int, items: Sequence[_T], last: _T, present: int,
-          cands: int) -> Iterator[Tuple[int, object]]:
-    """The children of a search state, in order, as pairs (piece index c,
-    child): a prefix (bit s of ``present`` set iff s is in it) adds a
-    candidate c, a bit of ``cands``, and keeps the later candidates that
-    ``_child_candidates`` keeps, as the counter's take branch does.
-
-    The one reader and writer of the search's ``memo``, keyed by
-    ``_state_key``.  A child of no candidates is the block ``(last,)``; one of
-    at most ``BLOCK_CANDIDATES`` is its block, built by ``_block`` on a miss;
-    a larger one is a fresh walk."""
-    while cands:
-        low = cands & -cands
-        c = low.bit_length() - 1
-        cands ^= low
-        rest = _child_candidates(down, width, present, c, cands)
-        if not rest:
-            child = (last,)
-        elif rest.bit_count() > BLOCK_CANDIDATES:
-            child = _walk(memo, meets, down, lanes, width, items, last,
-                          present | low, rest)
-        else:
-            key = _state_key(meets, lanes, width, present | low, rest)
-            child = memo.get(key)
-            if child is None:
-                child = memo[key] = _block(memo, meets, down, lanes, width, items,
-                                           last, present | low, rest)
-        yield c, child
+                yield fold + items[c], _block(memo, meets, down, lanes, width, items,
+                                              last, present | low, rest)
+        yield fold, (last,)
+        if not stack:
+            return
+        fold, present, cands = stack.pop()
 
 
 def _child_candidates(down: List[int], width: int, present: int, c: int,
@@ -357,14 +329,26 @@ def _block(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
            cands: int) -> Tuple[_T, ...]:
     """The suffix folds of every family at and below a state of
     ``_closed_blocks``' search, in canonical order: a prefix (bit s of
-    ``present`` set iff s is in it) and its candidates, the bits of
-    ``cands``.  Only builds; ``_walk`` looks the block up and keeps it, and
-    also memoises the state's children, every one of which is a block."""
-    suffixes = [items[c] + s for c, child in
-                _walk(memo, meets, down, lanes, width, items, last, present, cands)
-                for s in child]
-    suffixes.append(last)
-    return tuple(suffixes)
+    ``present`` set iff s is in it) and its 1 to ``BLOCK_CANDIDATES``
+    candidates, the bits of ``cands``.  The one reader and writer of the
+    search's ``memo``, keyed by ``_state_key``: on a miss it builds the block
+    from its children's, each ``(last,)`` or a block of its own, and keeps
+    it."""
+    key = _state_key(meets, lanes, width, present, cands)
+    block = memo.get(key)
+    if block is None:
+        suffixes = []
+        while cands:
+            low = cands & -cands
+            c = low.bit_length() - 1
+            cands ^= low
+            rest = _child_candidates(down, width, present, c, cands)
+            child = (_block(memo, meets, down, lanes, width, items, last, present | low,
+                            rest) if rest else (last,))
+            suffixes += [items[c] + s for s in child]
+        suffixes.append(last)
+        block = memo[key] = tuple(suffixes)
+    return block
 
 
 def _down_sets(width: int) -> List[int]:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,29 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 3
         assert proc.stderr == b""
+
+
+class TestStreamsReleased:
+    """``main`` writes to each call's own ``sys.stdout`` and ``sys.stderr``
+    and keeps neither: a caller that swaps them per call, as a batch of jobs
+    in one process does, must not keep every one alive."""
+
+    @pytest.mark.parametrize("argv,written", [
+        (["count", "1"], "stdout"), (["verify", "n2-shape"], "stdout"),
+        (["count", "6"], "stderr"),
+    ])
+    def test_streams_freed_after_each_call(self, argv, written):
+        refs = []
+        for _ in range(3):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                main(argv)
+            assert (bool(stdout.getvalue()), bool(stderr.getvalue())) == (
+                written == "stdout", written == "stderr")
+            refs += [weakref.ref(stdout), weakref.ref(stderr)]
+            del stdout, stderr
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 6
 
 
 class TestConsoleScript:

@@ -71,29 +71,39 @@ def search_suffixes(present, cands):
             yield (c, *suffix)
 
 
-def walked_children(memo, full):
-    """Every child that ``_walk`` hands out, for every state of the search on
-    ``full`` proper subsets in search order, through one ``memo`` shared by
-    all of them, as (its grown prefix, its candidates, the child as handed
-    out, the families at and below it as ``_unfold`` lists them, their
-    memo-free listing in canonical order).  A family is listed as c, the
-    members it adds below the child, and the full set.  Each child is
-    unfolded, so every walk is read to its end before the next child."""
-    items = [(c,) for c in range(full)]
-    meets, down = {}, moore._down_sets(full + 1)
-    lanes = moore._lanes(down)
-    for present, cands in search_states(0, list(range(full))):
-        walk = moore._walk(memo, meets, down, lanes, full + 1, items, (full,),
-                           present, sum(1 << c for c in cands))
-        for (c, child), (c_, grown, rest) in zip(walk, search_children(present, cands),
-                                                 strict=True):
-            assert c == c_
-            listed = [prefix + s for prefix, block in
-                      moore._unfold(items, (full,), (), iter([(c, child)]))
-                      for s in block]
-            assert listed.pop() == (full,)  # the state itself closes the listing
-            expected = sorted((c, *s, full) for s in search_suffixes(grown, rest))
-            yield grown, rest, child, listed, expected
+def watch_stream(monkeypatch):
+    """Watch the stream search: the memo of every ``_block`` call, and each
+    state the search descends into, a child that ``_child_candidates`` gives
+    more than ``BLOCK_CANDIDATES`` candidates (no child of a block has that
+    many), as (its prefix, its candidates)."""
+    block, child_candidates = moore._block, moore._child_candidates
+    memos, descents = [], []
+
+    def watched_block(memo, *args):
+        memos.append(memo)
+        return block(memo, *args)
+
+    def watched_child_candidates(down, width, present, c, later):
+        kept = child_candidates(down, width, present, c, later)
+        if kept.bit_count() > moore.BLOCK_CANDIDATES:
+            descents.append((present | 1 << c, kept))
+        return kept
+
+    monkeypatch.setattr(moore, "_block", watched_block)
+    monkeypatch.setattr(moore, "_child_candidates", watched_child_candidates)
+    return memos, descents
+
+
+def stream_census(monkeypatch, n):
+    """Drain ``enumerate_record_texts(n)`` under ``watch_stream`` and give
+    (memo size, its tuples, its lists, chunks, descents); every ``_block``
+    call must share one memo."""
+    memos, descents = watch_stream(monkeypatch)
+    chunks = sum(1 for _ in enumerate_record_texts(n))
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    kinds = collections.Counter(value.__class__ for value in memo.values())
+    return len(memo), kinds[tuple], kinds[list], chunks, len(descents)
 
 
 class TestIsMoore:
@@ -375,54 +385,72 @@ class TestEnumeration:
         assert len(set(sizes)) >= 10 and max(sizes) > limit // 2
 
     def test_block_memo_is_sound(self):
-        """The children of every state the n = 4 search reaches, in search
-        order, handed out by ``_walk`` through one memo shared by all of
-        them.  Each child of at most ``BLOCK_CANDIDATES`` candidates comes
-        out as its block, which must be a memo-free listing of its subtree:
-        the members each family at and below it adds, plus the full set, in
-        canonical order.  A key that confuses two states with different
-        subtrees hands out the first one's block for the second."""
+        """``_block`` on every child of at most ``BLOCK_CANDIDATES``
+        candidates of every state the n = 4 search reaches, in search order,
+        through one memo shared by all of them.  Each block must be a
+        memo-free listing of the child's subtree: the members each family at
+        and below it adds, plus the full set, in canonical order.  The search
+        calls ``_block`` on the 1 010 children with candidates; the other
+        1 367 close at once, as ``(full,)``.  A key that confuses two states
+        with different subtrees hands out the first one's block for the
+        second."""
         full = 15
-        memo = {}
-        seen = 0
-        for _, rest, child, _, expected in walked_children(memo, full):
-            if len(rest) <= moore.BLOCK_CANDIDATES:
-                assert child.__class__ is tuple
-                assert child == tuple(s[1:] for s in expected)
-                seen += 1
-        assert seen == 2377
-        assert len(memo) < seen
+        width = full + 1
+        items = [(c,) for c in range(full)]
+        memo, meets, down = {}, {}, moore._down_sets(width)
+        lanes = moore._lanes(down)
+        seen = collections.Counter()
+        for present, cands in search_states(0, list(range(full))):
+            for _, grown, rest in search_children(present, cands):
+                if len(rest) > moore.BLOCK_CANDIDATES:
+                    continue
+                seen["child"] += 1
+                expected = tuple(sorted((*s, full) for s in search_suffixes(grown, rest)))
+                if rest:
+                    assert moore._block(memo, meets, down, lanes, width, items, (full,),
+                                        grown, sum(1 << d for d in rest)) == expected
+                    seen["block"] += 1
+                else:
+                    assert expected == ((full,),)
+        assert seen == {"child": 2377, "block": 1010}
+        assert len(memo) < seen["block"]
         assert all(value.__class__ is tuple
                    and all(s.__class__ is tuple and s[-1] == full for s in value)
                    for value in memo.values())
 
-    def test_state_memo_is_sound(self):
-        """The children of every state the n = 4 search reaches, in search
-        order, handed out by ``_walk`` through one memo shared by all of
-        them, against a memo-free listing of each child's subtree.  A child
-        of 1 to ``BLOCK_CANDIDATES`` candidates is its kept block; a larger
-        one is a fresh walk, which nothing keeps.  A key that confuses two
-        states with different subtrees hands out the first one's block for
-        the second, and a walk kept in the memo would show up here."""
+    def test_state_memo_is_sound(self, monkeypatch):
+        """The n = 4 search, run through one explicit stack, against a
+        memo-free listing.  It descends into exactly the 102 states of more
+        than ``BLOCK_CANDIDATES`` candidates below the root, in search
+        order, and keeps none of them; each of their children with 1 to
+        ``BLOCK_CANDIDATES`` candidates goes out as its block, an entry of
+        the memo.  A key that confuses two states with different subtrees
+        hands out the first one's block for the second, and a descended
+        state kept in the memo would show up here."""
         full = 15
         width = full + 1
-        memo = {}
+        memos, descents = watch_stream(monkeypatch)
+        items = [(c,) for c in range(full)]
+        handed = list(moore._closed_blocks(full, (), items, (full,)))
+        monkeypatch.undo()
+        listed = [prefix + s for prefix, block in handed for s in block]
+        assert listed == sorted((*s, full) for s in search_suffixes(0, list(range(full))))
+        expected = [(present, sum(1 << d for d in cands))
+                    for present, cands in search_states(0, list(range(full)))
+                    if len(cands) > moore.BLOCK_CANDIDATES][1:]
+        assert descents == expected and len(descents) == 102
+        memo = memos[0]
         lanes = moore._lanes(moore._down_sets(width))
-        seen = collections.Counter()
-        for grown, rest, child, listed, expected in walked_children(memo, full):
-            assert listed == expected
-            if not rest:
-                continue
-            key = moore._state_key({}, lanes, width, grown, sum(1 << d for d in rest))
-            if len(rest) <= moore.BLOCK_CANDIDATES:
-                assert child is memo[key]
-                seen["block"] += 1
-            else:
-                assert isinstance(child, types.GeneratorType)
-                assert key not in memo
-                seen["walked"] += 1
-        assert seen == {"block": 1010, "walked": 102}
-        assert len(memo) < seen["block"]
+        for present, cands in descents:
+            assert moore._state_key({}, lanes, width, present, cands) not in memo
+        kept = {id(value) for value in memo.values()}
+        blocks = [block for _, block in handed if block != ((full,),)]
+        assert len(blocks) == sum(
+            1 for present, cands in search_states(0, list(range(full)))
+            if len(cands) > moore.BLOCK_CANDIDATES
+            for _, _, rest in search_children(present, cands)
+            if 1 <= len(rest) <= moore.BLOCK_CANDIDATES)
+        assert all(id(block) in kept for block in blocks)
         for key, value in memo.items():
             assert 1 <= (key >> width).bit_count() <= moore.BLOCK_CANDIDATES
             assert value.__class__ is tuple
@@ -430,21 +458,17 @@ class TestEnumeration:
 
     def test_memo_census(self, monkeypatch):
         """``enumerate_record_texts(4)`` keeps one memo, seen through every
-        ``_walk`` call, of 97 blocks and nothing else, and writes 669 chunks:
-        a search change that stops reusing states fails here."""
-        walk = moore._walk
-        memos = []
+        ``_block`` call, of 97 blocks and nothing else, writes 669 chunks,
+        and descends 102 times into a state of more than
+        ``BLOCK_CANDIDATES`` candidates: a search change that stops reusing
+        states fails here."""
+        assert stream_census(monkeypatch, 4) == (97, 97, 0, 669, 102)
 
-        def watched(memo, *args):
-            memos.append(memo)
-            return walk(memo, *args)
-
-        monkeypatch.setattr(moore, "_walk", watched)
-        chunks = sum(1 for _ in enumerate_record_texts(4))
-        memo = memos[0]
-        assert all(m is memo for m in memos)
-        kinds = collections.Counter(value.__class__ for value in memo.values())
-        assert (len(memo), kinds[tuple], kinds[list], chunks) == (97, 97, 0, 669)
+    def test_memo_census_n5(self, monkeypatch):
+        """``enumerate_record_texts(5)``: one memo of 1 334 blocks, 357 285
+        chunks and 54 410 descents, each state of more than
+        ``BLOCK_CANDIDATES`` candidates walked again on every visit."""
+        assert stream_census(monkeypatch, 5) == (1334, 1334, 0, 357285, 54410)
 
     def test_count_memo_census(self, monkeypatch):
         """``count_moore(4)`` keeps one memo, pair-meets dict and down-set
