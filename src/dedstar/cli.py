@@ -152,7 +152,34 @@ class IntegerToken(click.IntRange):
 SPECTRUM_SIZE = IntegerToken(min=1)
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """The ``--help`` callback of every command: click's own, but printed by
+    ``_echo``, so that it keeps no ``sys.stdout``."""
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _HelpByEcho:
+    """Gives a command's help option the callback ``_show_help``."""
+
+    def get_help_option(self, ctx: click.Context) -> Optional[click.Option]:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpByEcho, click.Command):
+    pass
+
+
+class _Group(_HelpByEcho, click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
+
+
+@click.group(cls=_Group)
 def cli() -> None:
     """Lattice of semistar operations on a semilocal Dedekind domain."""
 

@@ -2,16 +2,16 @@
 
 Subsets of {0..n-1} are encoded as integer bit patterns.  A family is stored
 as the ascending tuple of its member encodings; the full set is always a
-member (it is the empty intersection).  One depth-first search walks every
-family on n points in canonical order, on one explicit stack of states:
-``enumerate_moore`` and ``enumerate_record_texts`` hand it out in memoised
-blocks of at most 16 families, and walk a state of more candidates again on
-each visit.  Only ``_block`` reads or writes the memo.  ``count_moore``
-counts the same families without walking them: it takes or skips one
-candidate at a time, through a memo keyed by the search's ``_state_key``.
-Both keep a later candidate by one child rule, ``_child_candidates``, a
-product of down-sets.  No memo, table or text outlives a call, and no call
-leaves a reference cycle.
+member (it is the empty intersection).  One recursion, take or skip the
+least candidate, both walks and counts every family on n points.
+``enumerate_moore`` and ``enumerate_record_texts`` walk it in canonical
+order on one explicit stack of states, and hand out each state of at most 4
+candidates as one memoised block of at most 16 families; a state of more is
+walked again on each visit.  Only ``_block`` reads or writes the memo.
+``count_moore`` counts the same families without walking them, through a
+memo keyed by the same ``_state_key``.  Both keep a later candidate by one
+child rule, ``_child_candidates``, a product of down-sets.  No memo, table
+or text outlives a call, and no call leaves a reference cycle.
 Also houses generic finite-poset utilities: cover relations, brute-force
 order-isomorphism, DOT export.
 """
@@ -204,10 +204,10 @@ def _searchable_full_set(n: int) -> int:
 #: memoised block of at most 2^4 = 16 suffix folds, and handed out whole; a
 #: larger state is walked again on every visit.  ``enumerate_record_texts(5)``
 #: process time and peak RSS over a 16 MB start, by block bound, 3 runs each
-#: on a shared 2-core VM with Python 3.11: 3, 0.46-0.52 s, +0.25 MB; 4,
-#: 0.30-0.38 s, +1.4 MB; 5, 0.24-0.34 s, +4.3 MB; 6, 0.21-0.27 s, +11.1 MB.
+#: on a shared 2-core VM with Python 3.11: 3, 0.35-0.63 s, +0.25 MB; 4,
+#: 0.22-0.41 s, +1.12 MB; 5, 0.16-0.22 s, +3.62 MB; 6, 0.14-0.24 s, +9.38 MB.
 #: Past 4 a block grows the memory faster than the time falls.  At n = 5 the
-#: search keeps one memo of 1 334 blocks.
+#: search keeps one memo of 2 234 blocks, of take and skip states alike.
 BLOCK_CANDIDATES = 4
 
 
@@ -220,44 +220,39 @@ def _closed_blocks(full: int, start: _T, items: Sequence[_T], last: _T
     ``last``, so ``str`` and ``tuple`` pieces both work.  The search behind
     ``enumerate_moore`` and ``enumerate_record_texts``.
 
-    Depth-first over ascending prefixes P: each c > max(P) with c & p in P for
-    all p in P gives a child P + [c], whose candidates are P's after c that
-    ``_child_candidates`` keeps.  So P + [full] is a family, and P, yielded
-    after its children, sorts after theirs.  A state is (fold, present,
-    cands): bit s of ``present`` is set iff s is in P, and the bits of
-    ``cands`` are the candidates still to add.  The loop takes the least
-    candidate c: a child of more than ``BLOCK_CANDIDATES`` candidates pushes
-    the rest of the state and becomes the state, a smaller one goes out as
-    its block from ``_block``, and a state out of candidates goes out as
-    ``(last,)`` and pops its parent.  The stack is explicit: ``yield from``
-    over nested generators made the search about 40% slower.  The memo of
-    blocks, the down-sets of ``_down_sets`` and the fold steps of ``_lanes``
-    are built once per call, and ``_block`` is a module-level function, so
-    nothing outlives the call and no reference cycle holds it.
+    A state is (fold, present, cands): a prefix P of ascending members, with
+    bit s of ``present`` set iff s is in P, and the candidates still to add,
+    the bits of ``cands``, each past max(P).  Its families are P + S +
+    [full] for the sets S of candidates that ``_completions`` counts.  The
+    search branches two ways on the least candidate c, as the counter does:
+    first the families that take c, at P + [c] over the later candidates
+    that ``_child_candidates`` keeps, then those that skip it, at P over the
+    later candidates; so P + [full], reached by skipping every candidate,
+    comes last.  The loop pops a state: one of at most ``BLOCK_CANDIDATES``
+    candidates goes out as its block from ``_block``, and a larger one
+    pushes its skip state, then its take state.  The stack is explicit:
+    ``yield from`` over nested generators made the search about 40% slower.
+    The memo of blocks, the down-sets of ``_down_sets`` and the fold steps of
+    ``_lanes`` are built once per call, and ``_block`` is a module-level
+    function, so nothing outlives the call and no reference cycle holds it.
     """
     width = full + 1
     down = _down_sets(width)
     lanes = _lanes(down)
-    memo, meets, stack = {}, {}, []
-    fold, present, cands = start, 0, (1 << full) - 1
-    while True:
-        while cands:
-            low = cands & -cands
-            c = low.bit_length() - 1
-            cands ^= low
-            rest = _child_candidates(down, width, present, c, cands)
-            if not rest:
-                yield fold + items[c], (last,)
-            elif rest.bit_count() > BLOCK_CANDIDATES:
-                stack.append((fold, present, cands))
-                fold, present, cands = fold + items[c], present | low, rest
-            else:
-                yield fold + items[c], _block(memo, meets, down, lanes, width, items,
-                                              last, present | low, rest)
-        yield fold, (last,)
-        if not stack:
-            return
+    memo, meets = {}, {}
+    stack = [(start, 0, (1 << full) - 1)]
+    while stack:
         fold, present, cands = stack.pop()
+        if cands.bit_count() <= BLOCK_CANDIDATES:
+            yield fold, _block(memo, meets, down, lanes, width, items, last, present,
+                               cands)
+            continue
+        low = cands & -cands
+        c = low.bit_length() - 1
+        rest = cands ^ low
+        stack.append((fold, present, rest))
+        stack.append((fold + items[c], present | low,
+                      _child_candidates(down, width, present, c, rest)))
 
 
 def _child_candidates(down: List[int], width: int, present: int, c: int,
@@ -329,25 +324,27 @@ def _block(memo: Dict[int, Tuple], meets: Dict[int, int], down: List[int],
            cands: int) -> Tuple[_T, ...]:
     """The suffix folds of every family at and below a state of
     ``_closed_blocks``' search, in canonical order: a prefix (bit s of
-    ``present`` set iff s is in it) and its 1 to ``BLOCK_CANDIDATES``
-    candidates, the bits of ``cands``.  The one reader and writer of the
-    search's ``memo``, keyed by ``_state_key``: on a miss it builds the block
-    from its children's, each ``(last,)`` or a block of its own, and keeps
-    it."""
+    ``present`` set iff s is in it) and its at most ``BLOCK_CANDIDATES``
+    candidates, the bits of ``cands``.  With none it is ``(last,)``.  The one
+    reader and writer of the search's ``memo``, keyed by ``_state_key``: on
+    a miss it branches on the least candidate c as ``_completions`` does,
+    the block of the take state with ``items[c]`` before each suffix and
+    then the block of the skip state, and keeps the result."""
+    if not cands:
+        return (last,)
     key = _state_key(meets, lanes, width, present, cands)
     block = memo.get(key)
     if block is None:
-        suffixes = []
-        while cands:
-            low = cands & -cands
-            c = low.bit_length() - 1
-            cands ^= low
-            rest = _child_candidates(down, width, present, c, cands)
-            child = (_block(memo, meets, down, lanes, width, items, last, present | low,
-                            rest) if rest else (last,))
-            suffixes += [items[c] + s for s in child]
-        suffixes.append(last)
-        block = memo[key] = tuple(suffixes)
+        low = cands & -cands
+        c = low.bit_length() - 1
+        rest = cands ^ low
+        take = _block(memo, meets, down, lanes, width, items, last, present | low,
+                      _child_candidates(down, width, present, c, rest))
+        skip = _block(memo, meets, down, lanes, width, items, last, present, rest)
+        # One tuple from a list: tuple() of a generator resizes its tuple, and
+        # those freed each call grew the benchmark's stream peak RSS by about
+        # 0.12 MB a job on CPython 3.11.
+        block = memo[key] = (*[items[c] + s for s in take], *skip)
     return block
 
 
@@ -389,19 +386,17 @@ def _completions(memo: Dict[int, int], meets: Dict[int, int], down: List[int],
     That is the number of sets S of candidates with d & e in the prefix or
     in S for all d, e in S: the search adds S's members in ascending order,
     and keeps a later candidate d after adding c iff d & c, which is at most
-    c, is present by then.  A number of sets does not depend on the order in
-    which they are built, so the count branches two ways on the least
-    candidate c, not once per child: the sets without c, plus the sets with
-    c, which are counted at the prefix grown by c over the later candidates
-    that ``_child_candidates`` keeps, the search's child that adds c.
+    c, is present by then.  The count branches on the least candidate c as
+    the search does: the sets without c, at the skip state, plus the sets
+    with c, at the take state, the prefix grown by c over the later
+    candidates that ``_child_candidates`` keeps.
 
     Whether each meet of two candidates is in the prefix is all that the
     number reads of the prefix.  So ``memo`` is keyed by ``_state_key``, as
-    the search's states are.  The key counts sets, not paths, so it is sound
-    also at the states that only the branch on c reaches, a prefix with c
-    skipped.  A module-level function, not a closure: a recursive closure
-    is a reference cycle that keeps ``memo``, ``meets``, ``down`` and
-    ``lanes`` alive until the cycle collector runs.
+    the search's blocks are, take and skip states alike.  A module-level
+    function, not a closure: a recursive closure is a reference cycle that
+    keeps ``memo``, ``meets``, ``down`` and ``lanes`` alive until the cycle
+    collector runs.
     """
     if not cands & (cands - 1):
         return 1 + (cands != 0)

@@ -120,8 +120,10 @@ class TestEnumerate:
         assert code == 0
         assert path.read_bytes() == out.encode()
 
-    def test_n5_stream_digest(self, monkeypatch):
-        """The n = 5 stream, byte for byte, as the seed release wrote it."""
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_stream_digest(self, monkeypatch, n):
+        """The stream at each n, byte for byte, as the seed release wrote it:
+        the search hands it out in chunks that differ at every n."""
         digest = hashlib.sha256()
 
         class HashingStdout:
@@ -133,9 +135,14 @@ class TestEnumerate:
                 pass
 
         monkeypatch.setattr(sys, "stdout", HashingStdout())
-        assert main(["enumerate", "5"]) == 0
-        assert digest.hexdigest() == (
-            "413489138a583c941b48ccc75f847b46642a9ec561d5b7fd320324a98130ac98")
+        assert main(["enumerate", str(n)]) == 0
+        assert digest.hexdigest() == {
+            1: "f6fe7951aea6af8d3ff9e76999b7b156d1e1a0a62bf33908ef76cbcddec25f35",
+            2: "db0b80f53dde5c4850f52c69a4692d00b24cd8fbda1f8b873b917890db8fcca6",
+            3: "dca47528c78374b1bce5bca5886edfaf33ec9e35d721a2b83b824d0d8ee57a57",
+            4: "42fdec0a812878eafd160500c2704fec09bef24c492bcdc86c42a26d06330b42",
+            5: "413489138a583c941b48ccc75f847b46642a9ec561d5b7fd320324a98130ac98",
+        }[n]
 
     def test_refusal_keeps_out_file(self, capsys, tmp_path):
         path = tmp_path / "families.jsonl"
@@ -188,7 +195,8 @@ class TestStreamsReleased:
 
     @pytest.mark.parametrize("argv,written", [
         (["count", "1"], "stdout"), (["verify", "n2-shape"], "stdout"),
-        (["count", "6"], "stderr"),
+        (["count", "6"], "stderr"), (["--help"], "stdout"),
+        (["count", "--help"], "stdout"), (["star", "d-of", "--help"], "stdout"),
     ])
     def test_streams_freed_after_each_call(self, argv, written):
         refs = []

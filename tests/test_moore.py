@@ -62,6 +62,19 @@ def search_states(present, cands):
         yield from search_states(grown, rest)
 
 
+def stream_states(present, cands):
+    """Every state that the stream search pops, at and below a prefix (bit s
+    of ``present`` set iff s is in it) with ascending candidates ``cands``:
+    a state of more than ``BLOCK_CANDIDATES`` candidates is followed by the
+    states below its take state, the first child, and then by those below
+    its skip state, itself without its least candidate."""
+    yield present, cands
+    if len(cands) > moore.BLOCK_CANDIDATES:
+        _, grown, rest = next(search_children(present, cands))
+        yield from stream_states(grown, rest)
+        yield from stream_states(present, cands[1:])
+
+
 def search_suffixes(present, cands):
     """The members that each family at and below a state of the search adds
     to its prefix, without a memo."""
@@ -73,9 +86,9 @@ def search_suffixes(present, cands):
 
 def watch_stream(monkeypatch):
     """Watch the stream search: the memo of every ``_block`` call, and each
-    state the search descends into, a child that ``_child_candidates`` gives
-    more than ``BLOCK_CANDIDATES`` candidates (no child of a block has that
-    many), as (its prefix, its candidates)."""
+    state the search descends into, a take state that ``_child_candidates``
+    gives more than ``BLOCK_CANDIDATES`` candidates (no take state inside a
+    block has that many), as (its prefix, its candidates)."""
     block, child_candidates = moore._block, moore._child_candidates
     memos, descents = [], []
 
@@ -421,12 +434,13 @@ class TestEnumeration:
     def test_state_memo_is_sound(self, monkeypatch):
         """The n = 4 search, run through one explicit stack, against a
         memo-free listing.  It descends into exactly the 102 states of more
-        than ``BLOCK_CANDIDATES`` candidates below the root, in search
-        order, and keeps none of them; each of their children with 1 to
-        ``BLOCK_CANDIDATES`` candidates goes out as its block, an entry of
-        the memo.  A key that confuses two states with different subtrees
-        hands out the first one's block for the second, and a descended
-        state kept in the memo would show up here."""
+        than ``BLOCK_CANDIDATES`` candidates that the take branch reaches
+        below the root, in search order, and keeps none of them; each popped
+        state of at most ``BLOCK_CANDIDATES`` candidates goes out as its
+        block, an entry of the memo when it has candidates.  A key that
+        confuses two states with different subtrees hands out the first
+        one's block for the second, and a descended state kept in the memo
+        would show up here."""
         full = 15
         width = full + 1
         memos, descents = watch_stream(monkeypatch)
@@ -444,31 +458,61 @@ class TestEnumeration:
         for present, cands in descents:
             assert moore._state_key({}, lanes, width, present, cands) not in memo
         kept = {id(value) for value in memo.values()}
+        popped = [cands for _, cands in stream_states(0, list(range(full)))
+                  if len(cands) <= moore.BLOCK_CANDIDATES]
+        assert len(handed) == len(popped)
         blocks = [block for _, block in handed if block != ((full,),)]
-        assert len(blocks) == sum(
-            1 for present, cands in search_states(0, list(range(full)))
-            if len(cands) > moore.BLOCK_CANDIDATES
-            for _, _, rest in search_children(present, cands)
-            if 1 <= len(rest) <= moore.BLOCK_CANDIDATES)
+        assert len(blocks) == sum(1 for cands in popped if cands)
         assert all(id(block) in kept for block in blocks)
         for key, value in memo.items():
             assert 1 <= (key >> width).bit_count() <= moore.BLOCK_CANDIDATES
             assert value.__class__ is tuple
             assert all(s.__class__ is tuple and s[-1] == full for s in value)
 
+    def test_blocks_match_counter(self, monkeypatch):
+        """Stream and counter agree state by state: for n <= 4, every block
+        the stream asks ``_block`` for, at the states it pops and at every
+        take and skip state below them, has as many suffixes as
+        ``_completions`` counts there with a fresh memo, and lists the
+        memo-free suffixes.  The skip states are reached only here, so this
+        guards the memo key where only the skip branch leads."""
+        block = moore._block
+        states = []
+
+        def watched(memo, meets, down, lanes, width, items, last, present, cands):
+            got = block(memo, meets, down, lanes, width, items, last, present, cands)
+            states.append((down, lanes, width, present, cands, got))
+            return got
+
+        monkeypatch.setattr(moore, "_block", watched)
+        for n in range(1, 5):
+            states.clear()
+            collections.deque(enumerate_moore(n), maxlen=0)
+            full = (1 << n) - 1
+            children = {(present, sum(1 << d for d in cands))
+                        for present, cands in search_states(0, list(range(full)))}
+            skipped = 0
+            for down, lanes, width, present, cands, got in states:
+                assert len(got) == moore._completions({}, {}, down, lanes, width,
+                                                      present, cands)
+                assert list(got) == sorted((*s, full) for s in search_suffixes(
+                    present, moore.indices_of(cands)))
+                skipped += (present, cands) not in children
+            assert skipped > 0
+
     def test_memo_census(self, monkeypatch):
         """``enumerate_record_texts(4)`` keeps one memo, seen through every
-        ``_block`` call, of 97 blocks and nothing else, writes 669 chunks,
-        and descends 102 times into a state of more than
-        ``BLOCK_CANDIDATES`` candidates: a search change that stops reusing
-        states fails here."""
-        assert stream_census(monkeypatch, 4) == (97, 97, 0, 669, 102)
+        ``_block`` call, of 141 blocks and nothing else, take and skip
+        states alike, writes 257 chunks, and descends 102 times into a take
+        state of more than ``BLOCK_CANDIDATES`` candidates: a search change
+        that stops reusing states fails here."""
+        assert stream_census(monkeypatch, 4) == (141, 141, 0, 257, 102)
 
     def test_memo_census_n5(self, monkeypatch):
-        """``enumerate_record_texts(5)``: one memo of 1 334 blocks, 357 285
+        """``enumerate_record_texts(5)``: one memo of 2 234 blocks, 139 641
         chunks and 54 410 descents, each state of more than
         ``BLOCK_CANDIDATES`` candidates walked again on every visit."""
-        assert stream_census(monkeypatch, 5) == (1334, 1334, 0, 357285, 54410)
+        assert stream_census(monkeypatch, 5) == (2234, 2234, 0, 139641, 54410)
 
     def test_count_memo_census(self, monkeypatch):
         """``count_moore(4)`` keeps one memo, pair-meets dict and down-set
